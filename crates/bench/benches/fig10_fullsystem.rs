@@ -8,7 +8,9 @@
 //! Like the paper — which drops from simlarge to simmedium inputs for
 //! full-system simulation — this bench runs the workloads one scale down.
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{
+    banner, fullsystem_grid, fullsystem_suite, print_series_table, scale_from_env, Series,
+};
 use lva_core::ApproximatorConfig;
 use lva_energy::EnergyParams;
 use lva_sim::MechanismKind;
@@ -21,40 +23,29 @@ fn main() {
     let suite = fullsystem_suite(scale_from_env());
     let params = EnergyParams::cacti_32nm();
 
-    let precise: Vec<_> = suite
-        .iter()
-        .map(|(name, traces)| {
-            let s = lva_bench::run_fullsystem(traces.clone(), MechanismKind::Precise);
-            eprintln!("  {name:<14} precise done ({} cycles)", s.cycles);
-            s
-        })
+    const DEGREES: [u32; 5] = [0, 2, 4, 8, 16];
+    let mechanisms: Vec<_> = std::iter::once(MechanismKind::Precise)
+        .chain(DEGREES.map(|d| MechanismKind::Lva(ApproximatorConfig::with_degree(d))))
         .collect();
+    let rows = fullsystem_grid(&suite, &mechanisms);
+    let precise = &rows[0];
 
     let mut speedup = Vec::new();
     let mut savings = Vec::new();
     let mut misslat = Vec::new();
     let mut traffic = Vec::new();
-    for degree in [0u32, 2, 4, 8, 16] {
-        let mech = MechanismKind::Lva(ApproximatorConfig::with_degree(degree));
-        let runs: Vec<_> = suite
-            .iter()
-            .map(|(name, traces)| {
-                let s = lva_bench::run_fullsystem(traces.clone(), mech.clone());
-                eprintln!("  {name:<14} approx-{degree} done ({} cycles)", s.cycles);
-                s
-            })
-            .collect();
+    for (degree, runs) in DEGREES.iter().zip(&rows[1..]) {
         speedup.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| (r.speedup_vs(p) - 1.0) * 100.0)
                 .collect(),
         ));
         savings.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| {
                     (1.0 - r.hierarchy_energy_nj(&params) / p.hierarchy_energy_nj(&params))
                         * 100.0
@@ -64,14 +55,14 @@ fn main() {
         misslat.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| (1.0 - r.avg_miss_latency() / p.avg_miss_latency()) * 100.0)
                 .collect(),
         ));
         traffic.push(Series::new(
             format!("approx-{degree}"),
             runs.iter()
-                .zip(&precise)
+                .zip(precise)
                 .map(|(r, p)| (1.0 - r.flit_hops as f64 / p.flit_hops as f64) * 100.0)
                 .collect(),
         ));

@@ -3,7 +3,9 @@
 //! monotonically with degree (the paper reports mean reductions of 41.9%,
 //! 53.8% and 63.8% at degrees 0, 4 and 16).
 
-use lva_bench::{banner, fullsystem_suite, print_series_table, scale_from_env, Series};
+use lva_bench::{
+    banner, fullsystem_grid, fullsystem_suite, print_series_table, scale_from_env, Series,
+};
 use lva_core::ApproximatorConfig;
 use lva_energy::EnergyParams;
 use lva_sim::MechanismKind;
@@ -16,24 +18,19 @@ fn main() {
     let suite = fullsystem_suite(scale_from_env());
     let params = EnergyParams::cacti_32nm();
 
-    let precise: Vec<_> = suite
-        .iter()
-        .map(|(name, traces)| {
-            let s = lva_bench::run_fullsystem(traces.clone(), MechanismKind::Precise);
-            eprintln!("  {name:<14} precise done");
-            s
-        })
+    const DEGREES: [u32; 5] = [0, 2, 4, 8, 16];
+    let mechanisms: Vec<_> = std::iter::once(MechanismKind::Precise)
+        .chain(DEGREES.map(|d| MechanismKind::Lva(ApproximatorConfig::with_degree(d))))
         .collect();
+    let rows = fullsystem_grid(&suite, &mechanisms);
+    let precise = &rows[0];
 
     let mut series = vec![Series::new("baseline", vec![1.0; suite.len()])];
-    for degree in [0u32, 2, 4, 8, 16] {
-        let mech = MechanismKind::Lva(ApproximatorConfig::with_degree(degree));
-        let values: Vec<f64> = suite
+    for (degree, runs) in DEGREES.iter().zip(&rows[1..]) {
+        let values: Vec<f64> = runs
             .iter()
-            .zip(&precise)
-            .map(|((name, traces), p)| {
-                let s = lva_bench::run_fullsystem(traces.clone(), mech.clone());
-                eprintln!("  {name:<14} approx-{degree} done");
+            .zip(precise)
+            .map(|(s, p)| {
                 let base = p.l1_miss_edp(&params);
                 if base == 0.0 {
                     1.0

@@ -252,34 +252,51 @@ pub fn fullsystem_scale(scale: WorkloadScale) -> WorkloadScale {
 }
 
 /// Records the per-thread traces of every benchmark (precise run) at the
-/// full-system scale derived from `scale`.
+/// full-system scale derived from `scale`. The seven recordings run in
+/// parallel on the sweep engine and come back in [`BENCHMARKS`] order.
 #[must_use]
-pub fn fullsystem_suite(
-    scale: WorkloadScale,
-) -> Vec<(&'static str, Vec<lva_cpu::ThreadTrace>)> {
-    registry(fullsystem_scale(scale))
-        .iter()
-        .map(|w| {
-            let run = w.execute(&SimConfig::precise().with_traces());
-            (w.name(), run.traces)
-        })
-        .collect()
+pub fn fullsystem_suite(scale: WorkloadScale) -> Vec<(&'static str, Vec<lva_cpu::ThreadTrace>)> {
+    let workloads = registry(fullsystem_scale(scale));
+    run_sweep(&workloads, &SweepOptions::default(), |_, w| {
+        (
+            w.name(),
+            w.execute(&SimConfig::precise().with_traces()).traces,
+        )
+    })
+    .into_values()
 }
 
-/// Replays traces on the Table II machine under `mechanism`.
+/// Replays every suite entry on the Table II machine under every
+/// mechanism, on the sweep engine: `rows[m][b]` = benchmark `b` of `suite`
+/// under `mechanisms[m]`, in grid order regardless of the worker count.
 ///
 /// # Panics
 ///
 /// Panics if the protocol deadlocks (exceeds the cycle guard) — which
 /// would be a simulator bug worth crashing loudly on.
 #[must_use]
-pub fn run_fullsystem(
-    traces: Vec<lva_cpu::ThreadTrace>,
-    mechanism: lva_sim::MechanismKind,
-) -> lva_sim::FullSystemStats {
-    lva_sim::FullSystem::new(lva_sim::FullSystemConfig::paper(mechanism), traces)
-        .run()
-        .expect("full-system simulation converges")
+pub fn fullsystem_grid(
+    suite: &[(&'static str, Vec<lva_cpu::ThreadTrace>)],
+    mechanisms: &[lva_sim::MechanismKind],
+) -> Vec<Vec<lva_sim::FullSystemStats>> {
+    let grid: Vec<(usize, usize)> = (0..mechanisms.len())
+        .flat_map(|m| (0..suite.len()).map(move |b| (m, b)))
+        .collect();
+    let mut values = run_sweep(&grid, &SweepOptions::default(), |_, &(m, b)| {
+        let config = lva_sim::FullSystemConfig::paper(mechanisms[m].clone());
+        lva_sim::FullSystem::new(config, suite[b].1.clone())
+            .run()
+            .expect("full-system simulation converges")
+    })
+    .into_values()
+    .into_iter();
+    (0..mechanisms.len())
+        .map(|_| {
+            (0..suite.len())
+                .map(|_| values.next().expect("grid size"))
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

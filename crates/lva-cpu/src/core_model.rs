@@ -78,51 +78,12 @@ struct RobSlot {
     state: SlotState,
 }
 
-/// A memory operation dispatched during the core-local phase of a
-/// two-phase tick ([`OooCore::tick_dispatch`]), waiting to be issued to
-/// the memory port by [`OooCore::tick_issue`].
-#[derive(Debug, Clone, Copy)]
-pub enum PendingIssue {
-    /// A load occupying ROB slot `seq`; issuing it resolves the slot.
-    Load {
-        /// ROB sequence number the response resolves.
-        seq: u64,
-        /// Static instruction address.
-        pc: Pc,
-        /// Effective address.
-        addr: Addr,
-        /// Loaded type.
-        ty: ValueType,
-        /// Annotated approximate (drives the approximator on a miss).
-        approx: bool,
-        /// Precise value from the trace (approximator training data).
-        value: Value,
-    },
-    /// A store; it retires through the store buffer regardless, the port
-    /// only observes it for coherence traffic.
-    Store {
-        /// Static instruction address.
-        pc: Pc,
-        /// Effective address.
-        addr: Addr,
-    },
-}
-
 /// A 4-wide out-of-order core with a 32-entry ROB (Table II), replaying one
 /// [`ThreadTrace`].
 ///
 /// Call [`tick`](Self::tick) once per cycle with the memory port; deliver
 /// miss completions via [`complete`](Self::complete). The core is finished
 /// when [`is_done`](Self::is_done) returns true.
-///
-/// `tick` is two-phase under the hood: [`tick_dispatch`](Self::tick_dispatch)
-/// retires and dispatches using core-local state only (no port access), and
-/// [`tick_issue`](Self::tick_issue) plays the dispatched memory operations
-/// into the port. Callers that simulate several cores may run every core's
-/// dispatch phase concurrently and then issue in a fixed core order — the
-/// port sees the exact same call sequence as ticking each core in that
-/// order, because dispatch decisions never depend on port responses (a load
-/// enters the ROB whether it hits or misses; only its slot state differs).
 #[derive(Debug)]
 pub struct OooCore {
     id: usize,
@@ -136,8 +97,6 @@ pub struct OooCore {
     pending: HashMap<ReqId, u64>,
     next_seq: u64,
     stats: CoreStats,
-    /// Reusable buffer for the combined [`tick`](Self::tick).
-    scratch: Vec<PendingIssue>,
 }
 
 impl OooCore {
@@ -166,7 +125,6 @@ impl OooCore {
             pending: HashMap::new(),
             next_seq: 0,
             stats: CoreStats::default(),
-            scratch: Vec::new(),
         }
     }
 
@@ -200,28 +158,7 @@ impl OooCore {
     /// Advances the core by one cycle: retires up to `width` completed
     /// instructions in order, then dispatches up to `width` new ones,
     /// issuing loads and stores to `port`.
-    ///
-    /// Exactly equivalent to [`tick_dispatch`](Self::tick_dispatch)
-    /// followed by [`tick_issue`](Self::tick_issue) — it is implemented
-    /// that way.
     pub fn tick<M: MemoryPort>(&mut self, now: u64, port: &mut M) {
-        let mut buf = std::mem::take(&mut self.scratch);
-        self.tick_dispatch(now, &mut buf);
-        self.tick_issue(now, port, &buf);
-        buf.clear();
-        self.scratch = buf;
-    }
-
-    /// Phase one of a cycle, touching only core-local state: retires up to
-    /// `width` completed instructions in order, then dispatches up to
-    /// `width` new ones. Dispatched loads enter the ROB as pending and are
-    /// appended to `out` together with dispatched stores, preserving
-    /// program order; playing `out` into [`tick_issue`](Self::tick_issue)
-    /// in the same cycle completes the tick.
-    ///
-    /// Because this phase never consults the memory port, the dispatch
-    /// phases of independent cores may run concurrently.
-    pub fn tick_dispatch(&mut self, now: u64, out: &mut Vec<PendingIssue>) {
         // Retire.
         let mut retired = 0;
         while retired < self.width {
@@ -242,10 +179,7 @@ impl OooCore {
             }
         }
 
-        // Dispatch. Whether a load hits or misses never changes what else
-        // dispatches this cycle — it occupies one ROB slot either way — so
-        // the memory operations can be collected here and issued later
-        // without altering the schedule.
+        // Dispatch.
         let mut dispatched = 0;
         while dispatched < self.width && self.rob.len() < self.rob_capacity {
             if self.compute_left > 0 {
@@ -272,53 +206,24 @@ impl OooCore {
                 } => {
                     self.next_op += 1;
                     self.stats.loads += 1;
-                    let seq = self.push_slot(SlotState::PendingLoad);
-                    out.push(PendingIssue::Load {
-                        seq,
-                        pc,
-                        addr,
-                        ty,
-                        approx,
-                        value,
-                    });
+                    match port.load(self.id, now, pc, addr, ty, approx, value) {
+                        LoadResponse::Done { at } => {
+                            self.push_slot(SlotState::Done(at.max(now + 1)));
+                        }
+                        LoadResponse::Pending(req) => {
+                            let seq = self.push_slot(SlotState::PendingLoad);
+                            self.pending.insert(req, seq);
+                        }
+                    }
                     dispatched += 1;
                 }
                 TraceOp::Store { pc, addr, .. } => {
                     self.next_op += 1;
-                    out.push(PendingIssue::Store { pc, addr });
+                    port.store(self.id, now, pc, addr);
                     // Stores complete into the store buffer next cycle.
                     self.push_slot(SlotState::Done(now + 1));
                     dispatched += 1;
                 }
-            }
-        }
-    }
-
-    /// Phase two of a cycle: issues the memory operations collected by
-    /// [`tick_dispatch`](Self::tick_dispatch) to `port` in program order,
-    /// resolving each load's ROB slot from the response. Must run in the
-    /// same cycle as the dispatch that produced `reqs`.
-    pub fn tick_issue<M: MemoryPort>(&mut self, now: u64, port: &mut M, reqs: &[PendingIssue]) {
-        for req in reqs {
-            match *req {
-                PendingIssue::Load {
-                    seq,
-                    pc,
-                    addr,
-                    ty,
-                    approx,
-                    value,
-                } => match port.load(self.id, now, pc, addr, ty, approx, value) {
-                    LoadResponse::Done { at } => {
-                        if let Some(slot) = self.rob.iter_mut().find(|s| s.seq == seq) {
-                            slot.state = SlotState::Done(at.max(now + 1));
-                        }
-                    }
-                    LoadResponse::Pending(req) => {
-                        self.pending.insert(req, seq);
-                    }
-                },
-                PendingIssue::Store { pc, addr } => port.store(self.id, now, pc, addr),
             }
         }
     }
@@ -524,40 +429,5 @@ mod tests {
         let mut core = OooCore::new(0, ThreadTrace::new());
         core.complete(ReqId(99), 5); // must not panic
         assert!(core.is_done());
-    }
-
-    #[test]
-    fn explicit_two_phase_tick_matches_combined() {
-        // Driving dispatch and issue separately (as the threaded
-        // full-system loop does) must behave identically to `tick` on a
-        // mixed trace with real pending misses.
-        let mut trace = ThreadTrace::new();
-        for i in 0..40u64 {
-            trace.push_load(Pc(i % 5), Addr(i * 64), ValueType::F32, false, Value::from_f32(0.0));
-            trace.push_compute((i % 3) as u32);
-            trace.push_store(Pc(100 + i), Addr(0x8000 + i * 64), ValueType::F32);
-        }
-
-        let run_split = |split: bool| {
-            let mut core = OooCore::new(0, trace.clone());
-            let mut port = PendingPort::new(37);
-            let mut buf = Vec::new();
-            let mut now = 0;
-            while !core.is_done() {
-                port.deliver(now, &mut core);
-                if split {
-                    buf.clear();
-                    core.tick_dispatch(now, &mut buf);
-                    core.tick_issue(now, &mut port, &buf);
-                } else {
-                    core.tick(now, &mut port);
-                }
-                now += 1;
-                assert!(now < 100_000);
-            }
-            (now, *core.stats())
-        };
-
-        assert_eq!(run_split(true), run_split(false));
     }
 }

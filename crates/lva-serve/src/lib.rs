@@ -54,4 +54,4 @@ pub use client::{Client, SubmitOutcome};
 pub use fingerprint::{point_fingerprint, CACHE_SCHEMA_VERSION};
 pub use point::{evaluate_point, point_record, PointSpec};
 pub use sched::{JobOutcome, PointResult, Scheduler};
-pub use server::{Server, ServerHandle};
+pub use server::{Server, ServerHandle, MAX_REQUEST_BYTES};

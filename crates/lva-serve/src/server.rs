@@ -16,7 +16,7 @@
 
 use crate::protocol::{self, Request};
 use crate::sched::Scheduler;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,6 +24,14 @@ use std::time::Duration;
 
 /// How often an idle connection thread re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Longest request line (newline included) a connection accepts. A
+/// submitted point encodes to roughly 130–250 bytes, so this admits
+/// grids of over 60 000 points, far beyond anything `lva-explore submit`
+/// is used for, while a peer that never sends a newline can hold no more
+/// than this much of the server's memory. An oversize line is answered
+/// with an error and the connection is closed.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// A bound-but-not-yet-running sweep server.
 #[derive(Debug)]
@@ -147,19 +155,35 @@ fn handle_connection(
         return;
     };
     // A short read timeout lets the thread notice the stop flag while
-    // idle; `read_line` keeps partial bytes in `line` across timeouts,
+    // idle; `read_until` keeps partial bytes in `line` across timeouts,
     // so a request split over several reads still assembles correctly.
+    // Bytes, not a `String`: `read_line` would drop a partial read that
+    // ends inside a multi-byte character.
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: a line that reaches it
+        // without its newline is oversize.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // client closed the connection
+            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
+                let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                let _ = send_line(&mut writer, &protocol::encode_error(&msg));
+                return;
+            }
             Ok(_) => {
-                let request = std::mem::take(&mut line);
+                let Ok(request) = String::from_utf8(std::mem::take(&mut line)) else {
+                    let error = protocol::encode_error("request line is not UTF-8");
+                    if send_line(&mut writer, &error).is_err() {
+                        return;
+                    }
+                    continue;
+                };
                 if request.trim().is_empty() {
                     continue;
                 }

@@ -22,15 +22,13 @@ use lva_core::{
     Addr, FetchAction, LoadValueApproximator, MissOutcome, MissPolicy, Pc, TrainToken, Value,
     ValueType, BLOCK_BYTES,
 };
-use lva_cpu::{LoadResponse, MemoryPort, OooCore, PendingIssue, ReqId, ThreadTrace};
+use lva_cpu::{LoadResponse, MemoryPort, OooCore, ReqId, ThreadTrace};
 use lva_energy::{EnergyEvents, EnergyParams};
 use lva_mem::{CacheConfig, Directory, DirectoryState, LineState, SetAssocCache, SharerSet};
 use lva_noc::{LowPowerPlane, Mesh, MeshConfig, NodeId, Plane};
 use lva_obs::{EpochSampler, MetricsRegistry, NullSink, Timeline, TraceCtx};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 
 const CTRL_FLITS: u64 = 1;
 /// 64 B block at 16 B/flit plus a head flit.
@@ -86,20 +84,12 @@ pub struct FullSystemConfig {
     /// fixed, so corrupting them would break replay fidelity.
     pub degrade: Option<DegradeConfig>,
     /// Per-L1 supervisory governor (off by default; only meaningful with
-    /// an LVA mechanism). Epochs run on the machine's cycle clock inside
-    /// the sequential merge loop, so the statistics stay byte-identical
-    /// for every worker count.
+    /// an LVA mechanism). Epochs run on the machine's cycle clock.
     pub govern: Option<GovernorConfig>,
     /// Epoch timeline sampling in the *cycle* domain (off by default).
     /// Strictly write-only: the statistics are identical with it on or
     /// off. Collected via [`FullSystem::run_with_timeline`].
     pub timeline: Option<lva_obs::TimelineConfig>,
-    /// Worker threads for the per-cycle core dispatch phase; `None`
-    /// resolves via [`crate::worker_count`] (`LVA_THREADS`, then available
-    /// parallelism), clamped to the core count. Results are byte-identical
-    /// for every value — the memory system always sees the cores'
-    /// operations in core-index order.
-    pub threads: Option<usize>,
 }
 
 impl FullSystemConfig {
@@ -121,7 +111,6 @@ impl FullSystemConfig {
             degrade: None,
             govern: None,
             timeline: None,
-            threads: None,
         }
     }
 
@@ -182,15 +171,6 @@ impl FullSystemConfig {
     #[must_use]
     pub fn with_timeline(mut self, timeline: lva_obs::TimelineConfig) -> Self {
         self.timeline = Some(timeline);
-        self
-    }
-
-    /// Same machine, with an explicit worker count for the per-cycle core
-    /// dispatch phase (overrides `LVA_THREADS`). The statistics do not
-    /// depend on this value.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 }
@@ -1399,14 +1379,6 @@ impl FullSystem {
     /// flushed from the fully assembled end-of-run statistics, so every
     /// counter's per-epoch deltas sum exactly to its aggregate value.
     ///
-    /// Each cycle runs in two phases: every core's retire/dispatch phase
-    /// (core-local, spread over [`FullSystemConfig::threads`] scoped worker
-    /// threads when more than one core is present), then a sequential merge
-    /// that issues the dispatched memory operations to the shared memory
-    /// system in core-index order. The merge order makes the statistics
-    /// byte-identical for every worker count, including the single-threaded
-    /// path.
-    ///
     /// # Errors
     ///
     /// Returns an error if the simulation exceeds
@@ -1418,36 +1390,8 @@ impl FullSystem {
             .timeline
             .clone()
             .map(|t| Box::new(EpochSampler::new(t)));
-        let workers = crate::worker_count(self.mem.cfg.threads).min(self.cores.len().max(1));
-        let slots: Vec<Mutex<CoreSlot>> = self
-            .cores
-            .drain(..)
-            .map(|core| {
-                Mutex::new(CoreSlot {
-                    core,
-                    buf: Vec::new(),
-                })
-            })
-            .collect();
-        let outcome = if workers > 1 {
-            run_cycles_threaded(&mut self.mem, &slots, &mut sampler, workers)
-        } else {
-            run_cycles(&mut self.mem, &slots, &mut sampler, |now| {
-                for s in &slots {
-                    let slot = &mut *s.lock().expect("core lock");
-                    slot.buf.clear();
-                    slot.core.tick_dispatch(now, &mut slot.buf);
-                }
-            })
-        };
-        self.cores = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("core lock").core)
-            .collect();
-        let CycleOutcome {
-            now,
-            cores_done_at,
-        } = outcome?;
+        let CycleOutcome { now, cores_done_at } =
+            run_cycles(&mut self.mem, &mut self.cores, &mut sampler)?;
         let mut stats = self.mem.stats.clone();
         for l1 in &self.mem.l1 {
             stats.demotions += l1.local_stats.demotions;
@@ -1490,17 +1434,6 @@ impl FullSystem {
         };
         Ok((stats, timeline))
     }
-
-}
-
-/// One core plus its per-cycle dispatch buffer, shared between the main
-/// merge loop and the dispatch workers. The phases alternate through
-/// barriers, so the locks are never contended — they exist to let the
-/// borrow of the cores move between threads each cycle.
-#[derive(Debug)]
-struct CoreSlot {
-    core: OooCore,
-    buf: Vec<PendingIssue>,
 }
 
 /// Where the cycle loop stopped.
@@ -1514,11 +1447,11 @@ struct CycleOutcome {
 /// A mid-run statistics snapshot at cycle `now`: the memory system's
 /// counters plus what the cores and mesh have accumulated so far.
 /// Read-only; used by the epoch timeline sampler.
-fn snapshot_stats(mem: &MemorySystem, slots: &[Mutex<CoreSlot>], now: u64) -> FullSystemStats {
+fn snapshot_stats(mem: &MemorySystem, cores: &[OooCore], now: u64) -> FullSystemStats {
     let mut stats = mem.stats.clone();
     stats.cycles = now;
-    for s in slots {
-        let core_stats = *s.lock().expect("core lock").core.stats();
+    for core in cores {
+        let core_stats = core.stats();
         stats.instructions += core_stats.retired;
         stats.head_stall_cycles += core_stats.head_stall_cycles;
     }
@@ -1529,15 +1462,12 @@ fn snapshot_stats(mem: &MemorySystem, slots: &[Mutex<CoreSlot>], now: u64) -> Fu
     stats
 }
 
-/// The per-cycle loop: memory-system tick, completion delivery, the core
-/// dispatch phase (`dispatch`, which must fill every slot's `buf` for this
-/// cycle), and the sequential core-index-order merge that issues the
-/// buffered operations to the memory system.
-fn run_cycles<F: FnMut(u64)>(
+/// The per-cycle loop: memory-system tick, completion delivery, then every
+/// core's tick in core-index order.
+fn run_cycles(
     mem: &mut MemorySystem,
-    slots: &[Mutex<CoreSlot>],
+    cores: &mut [OooCore],
     sampler: &mut Option<Box<EpochSampler>>,
-    mut dispatch: F,
 ) -> Result<CycleOutcome, String> {
     let mut due = sampler.as_ref().map_or(u64::MAX, |s| s.next_boundary());
     let mut govern_due = mem.cfg.govern.map_or(u64::MAX, |g| g.epoch_len);
@@ -1546,22 +1476,13 @@ fn run_cycles<F: FnMut(u64)>(
     loop {
         mem.tick(now);
         for (core, req, at) in mem.take_completions() {
-            slots[core].lock().expect("core lock").core.complete(req, at);
+            cores[core].complete(req, at);
         }
-        // Phase one: retire + dispatch, core-local (possibly threaded).
-        dispatch(now);
-        // Phase two: issue to the shared memory system in core-index
-        // order — the exact call sequence a sequential `tick` loop makes.
-        for s in slots {
-            let slot = &mut *s.lock().expect("core lock");
-            slot.core.tick_issue(now, mem, &slot.buf);
+        for core in cores.iter_mut() {
+            core.tick(now, mem);
         }
         now += 1;
-        if cores_done_at.is_none()
-            && slots
-                .iter()
-                .all(|s| s.lock().expect("core lock").core.is_done())
-        {
+        if cores_done_at.is_none() && cores.iter().all(OooCore::is_done) {
             // The application has finished; execution time stops here.
             // Outstanding background traffic (training fetches nobody
             // waits for) keeps draining below for clean accounting.
@@ -1570,14 +1491,12 @@ fn run_cycles<F: FnMut(u64)>(
         if now >= due && cores_done_at.is_none() {
             if let Some(s) = &mut *sampler {
                 let mut registry = MetricsRegistry::new();
-                snapshot_stats(mem, slots, now).record_metrics(&mut registry, "fs");
+                snapshot_stats(mem, cores, now).record_metrics(&mut registry, "fs");
                 s.sample(now, &registry);
                 due = s.next_boundary();
             }
         }
-        // Close each L1's governor epoch inside the sequential merge
-        // loop, in L1-index order — worker count cannot change what the
-        // governors see or do.
+        // Close each L1's governor epoch, in L1-index order.
         if now >= govern_due && cores_done_at.is_none() {
             for l1 in &mut mem.l1 {
                 let Some(gov) = &mut l1.govern else { continue };
@@ -1602,50 +1521,6 @@ fn run_cycles<F: FnMut(u64)>(
     Ok(CycleOutcome {
         now,
         cores_done_at,
-    })
-}
-
-/// [`run_cycles`] with the dispatch phase spread over `workers` scoped
-/// threads. Worker `w` owns cores `w, w + workers, …`; two barriers fence
-/// each cycle's dispatch phase so the workers and the merge loop never
-/// touch a core concurrently.
-fn run_cycles_threaded(
-    mem: &mut MemorySystem,
-    slots: &[Mutex<CoreSlot>],
-    sampler: &mut Option<Box<EpochSampler>>,
-    workers: usize,
-) -> Result<CycleOutcome, String> {
-    let cycle = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let start = Barrier::new(workers + 1);
-    let done = Barrier::new(workers + 1);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (cycle, stop, start, done) = (&cycle, &stop, &start, &done);
-            scope.spawn(move || loop {
-                start.wait();
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let now = cycle.load(Ordering::Acquire);
-                let mut i = w;
-                while i < slots.len() {
-                    let slot = &mut *slots[i].lock().expect("core lock");
-                    slot.buf.clear();
-                    slot.core.tick_dispatch(now, &mut slot.buf);
-                    i += workers;
-                }
-                done.wait();
-            });
-        }
-        let result = run_cycles(mem, slots, sampler, |now| {
-            cycle.store(now, Ordering::Release);
-            start.wait();
-            done.wait();
-        });
-        stop.store(true, Ordering::Release);
-        start.wait();
-        result
     })
 }
 
@@ -1825,50 +1700,6 @@ mod tests {
         // 4 cores do 4x the work in far less than 4x the time.
         assert!(all.cycles < solo.cycles * 3, "{} vs {}", all.cycles, solo.cycles);
         assert_eq!(all.instructions, solo.instructions * 4);
-    }
-
-    #[test]
-    fn threaded_dispatch_matches_sequential() {
-        // Four cores with private streams, contended shared blocks, and an
-        // approximator: every worker count must produce the exact
-        // statistics of the single-threaded loop, because the memory
-        // system sees the same operation sequence either way.
-        let traces: Vec<ThreadTrace> = (0..4)
-            .map(|c| {
-                let mut t = ThreadTrace::new();
-                for i in 0..300u64 {
-                    t.push_load(
-                        Pc(10 + c as u64),
-                        Addr(0x10_0000 * (c as u64 + 1) + i * 64),
-                        ValueType::F32,
-                        true,
-                        Value::from_f32(7.0),
-                    );
-                    if i % 5 == c as u64 {
-                        t.push_store(Pc(50 + c as u64), Addr(0x40), ValueType::I32);
-                        t.push_load(
-                            Pc(60 + c as u64),
-                            Addr(0x40),
-                            ValueType::I32,
-                            false,
-                            Value::from_i32(i as i32),
-                        );
-                    }
-                    t.push_compute(3);
-                }
-                t
-            })
-            .collect();
-        let cfg = |threads: usize| {
-            FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::baseline()))
-                .with_threads(threads)
-        };
-        let sequential = run(cfg(1), traces.clone());
-        assert!(sequential.l1_load_misses > 0 && sequential.approximated > 0);
-        for threads in [2usize, 4, 8] {
-            let threaded = run(cfg(threads), traces.clone());
-            assert_eq!(threaded, sequential, "threads={threads}");
-        }
     }
 
     #[test]

@@ -758,3 +758,82 @@ fn fullsystem_timeline_never_perturbs_results() {
         );
     }
 }
+
+/// Full-system replay configurations pinned by `fullsystem_stats_are_pinned`:
+/// the Fig. 10 pair, the MESI ablation, an actively-tightening governor and
+/// a timeline-on run.
+fn fullsystem_configs() -> Vec<(&'static str, lva::sim::FullSystemConfig)> {
+    use lva::obs::TimelineConfig;
+    use lva::sim::{FullSystemConfig, GovernorConfig};
+    let deg4 = || FullSystemConfig::paper(MechanismKind::Lva(ApproximatorConfig::with_degree(4)));
+    vec![
+        ("precise", FullSystemConfig::paper(MechanismKind::Precise)),
+        ("lva-deg4", deg4()),
+        ("lva-deg4-mesi", deg4().with_mesi()),
+        (
+            "lva-deg4-govern",
+            deg4().with_govern(GovernorConfig {
+                epoch_len: 2000,
+                min_samples: 8,
+                hysteresis_epochs: 1,
+                ..GovernorConfig::slo(0.001)
+            }),
+        ),
+        (
+            "lva-deg4-timeline",
+            deg4().with_timeline(TimelineConfig::every(4096)),
+        ),
+    ]
+}
+
+/// FNV-1a64 of `format!("{stats:?}")` (plus `format!("{timeline:?}")` for
+/// the timeline-on run) per replayed kernel, captured while each cycle
+/// still ran every core's dispatch phase before any core's issue phase.
+const GOLDEN_FULLSYSTEM_HASHES: [(&str, &str, u64); 10] = [
+    ("blackscholes", "precise", 0xbdc5ad2aba6283f7),
+    ("blackscholes", "lva-deg4", 0xda879f8f086acb66),
+    ("blackscholes", "lva-deg4-mesi", 0xda879f8f086acb66),
+    ("blackscholes", "lva-deg4-govern", 0x4fdb45f6ae7f5fa6),
+    ("blackscholes", "lva-deg4-timeline", 0xfd7604022c43d6f8),
+    ("canneal", "precise", 0xe38b347cc39448c8),
+    ("canneal", "lva-deg4", 0xaecbaca6c16f6843),
+    ("canneal", "lva-deg4-mesi", 0x7523712259142fe2),
+    ("canneal", "lva-deg4-govern", 0x27adec447dec9204),
+    ("canneal", "lva-deg4-timeline", 0x06cc64973d520326),
+];
+
+#[test]
+fn fullsystem_stats_are_pinned() {
+    // No phase-1 golden covers `FullSystemStats`: replay two kernels'
+    // recorded traces (blackscholes' private data, canneal's shared
+    // netlist) under each configuration and pin the whole statistics
+    // record, timeline frames included.
+    use lva::sim::FullSystem;
+    let configs = fullsystem_configs();
+    let mut hashes = Vec::new();
+    let mut actuations = 0;
+    for w in registry(WorkloadScale::Test) {
+        if !["blackscholes", "canneal"].contains(&w.name()) {
+            continue;
+        }
+        let traces = w.execute(&SimConfig::precise().with_traces()).traces;
+        for (name, cfg) in &configs {
+            let (stats, timeline) = FullSystem::new(cfg.clone(), traces.clone())
+                .run_with_timeline()
+                .expect("replay converges");
+            assert_eq!(timeline.is_empty(), cfg.timeline.is_none(), "{name}");
+            actuations += stats.govern_actuations;
+            let text = format!("{stats:?}{timeline:?}");
+            hashes.push((w.name(), *name, fnv1a64(text.as_bytes())));
+        }
+    }
+    assert!(actuations > 0, "the governed replay never actuated");
+    assert_eq!(hashes.len(), GOLDEN_FULLSYSTEM_HASHES.len());
+    for (got, want) in hashes.iter().zip(GOLDEN_FULLSYSTEM_HASHES) {
+        assert_eq!(
+            *got, want,
+            "full-system statistics diverged; captured {:#018x}",
+            got.2
+        );
+    }
+}

@@ -148,6 +148,47 @@ fn repeated_identical_sweep_is_served_from_cache_and_far_faster() {
     handle.join();
 }
 
+#[test]
+fn bad_request_lines_get_errors_and_the_server_keeps_serving() {
+    // A non-UTF-8 line gets an error and the connection stays usable. A
+    // peer that never sends a newline must not grow the server's line
+    // buffer without bound: one byte past the cap gets an error line and
+    // the connection is closed, while other clients are still served.
+    use std::io::{Read, Write};
+    let handle = start_server(1);
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = std::io::BufReader::new(raw.try_clone().expect("clone stream"));
+    let mut read_error = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("error line");
+        let reply = lva::obs::parse_json(line.trim()).expect("error line is JSON");
+        assert_eq!(
+            reply.get("ok"),
+            Some(&lva::obs::Json::Bool(false)),
+            "{line}"
+        );
+        reply
+            .get("error")
+            .and_then(lva::obs::Json::as_str)
+            .expect("message")
+            .to_owned()
+    };
+    raw.write_all(b"\xff\xfe\n").expect("write non-UTF-8 line");
+    assert!(read_error().contains("UTF-8"));
+    raw.write_all(&vec![b'x'; lva::serve::MAX_REQUEST_BYTES + 1])
+        .expect("write oversize line");
+    assert!(read_error().contains("exceeds"));
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("clean close"), 0);
+
+    let mut client = Client::connect(handle.addr()).expect("second client");
+    client.ping().expect("second client is served");
+    client.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
 /// Kills the server child if a test assertion unwinds before the clean
 /// stop, so failed tests cannot leak a listening process.
 struct ServeChild(std::process::Child);
