@@ -467,13 +467,18 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).expect("input is UTF-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next quote, escape or
+                    // control byte. Those are ASCII, so the run ends on a
+                    // character boundary and, the input being a &str, is
+                    // valid UTF-8; validating only the run keeps a long
+                    // string linear to parse.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is UTF-8"),
+                    );
                 }
             }
         }

@@ -22,7 +22,7 @@ use crate::fingerprint::{parse_scale, point_fingerprint, scale_label};
 use lva_core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, LvpConfig};
 use lva_obs::{Json, MetricsRegistry, RunRecord};
 use lva_sim::{DegradeConfig, GovernorConfig, MechanismKind, SimConfig};
-use lva_workloads::{registry_seeded, WorkloadRun, WorkloadScale};
+use lva_workloads::{by_name, WorkloadRun, WorkloadScale};
 
 /// One requested sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -412,9 +412,7 @@ pub fn evaluate_point(spec: &PointSpec) -> Result<String, String> {
     spec.config
         .validate()
         .map_err(|e| format!("invalid config: {e}"))?;
-    let workload = registry_seeded(spec.scale, spec.seed)
-        .into_iter()
-        .find(|w| w.name() == spec.workload)
+    let workload = by_name(&spec.workload, spec.scale, spec.seed)
         .ok_or_else(|| format!("unknown workload {}", spec.workload))?;
     let run = workload.execute(&spec.config);
     Ok(point_record(spec, &run).to_string_pretty())

@@ -11,7 +11,7 @@
 //! tolerable; cf. Black's approximation).
 
 use crate::util::{cndf, interleaved_chunks, relative_error, seeded_rng, MixHasher};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::{Addr, Pc, ValueType};
 use lva_sim::SimHarness;
 use std::collections::HashMap;
@@ -45,6 +45,8 @@ struct OptionInput {
 #[derive(Debug, Clone)]
 pub struct Blackscholes {
     options: Vec<OptionInput>,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<Vec<f64>>,
 }
 
 impl Blackscholes {
@@ -85,7 +87,10 @@ impl Blackscholes {
                 }
             })
             .collect();
-        Blackscholes { options }
+        Blackscholes {
+            options,
+            memo: PreciseMemo::default(),
+        }
     }
 
     /// Number of options priced.
@@ -121,6 +126,10 @@ fn price(spot: f64, strike: f64, rate: f64, vol: f64, time: f64, call: bool) -> 
 
 impl Kernel for Blackscholes {
     type Output = Vec<f64>;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "blackscholes"

@@ -11,7 +11,7 @@
 //! approximate runs.
 
 use crate::util::{interleaved_chunks, seeded_rng};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::{Addr, Pc, ValueType};
 use lva_sim::{LoadReq, SimHarness};
 
@@ -48,6 +48,8 @@ pub struct Bodytrack {
     path: Vec<(f32, f32)>,
     /// Input-perturbation seed (0 for the canonical inputs).
     seed: u64,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<Vec<(f64, f64)>>,
 }
 
 impl Bodytrack {
@@ -84,6 +86,7 @@ impl Bodytrack {
             frames,
             particles,
             path,
+            memo: PreciseMemo::default(),
         }
     }
 
@@ -109,6 +112,10 @@ impl Bodytrack {
 
 impl Kernel for Bodytrack {
     type Output = Vec<(f64, f64)>;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "bodytrack"

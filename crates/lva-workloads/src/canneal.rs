@@ -11,10 +11,11 @@
 //! errors are tolerable.
 
 use crate::util::{interleaved_chunks, seeded_rng};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::Rng64;
 use lva_core::{Pc, Value, ValueType};
 use lva_sim::{LoadReq, SimHarness};
+use std::sync::Arc;
 
 const PC_BASE: u64 = 0x2000;
 /// Neighbour x in the "cost before swap" loop.
@@ -37,12 +38,15 @@ const TICKS_PER_NEIGHBOUR: u32 = 150;
 pub struct Canneal {
     elements: usize,
     steps: usize,
-    /// `neighbours[e]` = indices of the elements on e's nets.
-    neighbours: Vec<[u32; FANIN]>,
+    /// `neighbours[e]` = indices of the elements on e's nets, shared with
+    /// every [`Placement`] the kernel produces.
+    neighbours: Arc<[[u32; FANIN]]>,
     /// Initial placement: position of element `e`.
     init_pos: Vec<(i32, i32)>,
     /// Input-perturbation seed (0 for the canonical inputs).
     seed: u64,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<Placement>,
 }
 
 impl Canneal {
@@ -95,6 +99,7 @@ impl Canneal {
             steps,
             neighbours,
             init_pos,
+            memo: PreciseMemo::default(),
         }
     }
 
@@ -108,7 +113,7 @@ impl Canneal {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     positions: Vec<(i32, i32)>,
-    neighbours: Vec<[u32; FANIN]>,
+    neighbours: Arc<[[u32; FANIN]]>,
 }
 
 impl Placement {
@@ -134,6 +139,10 @@ impl Placement {
 
 impl Kernel for Canneal {
     type Output = Placement;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "canneal"
@@ -239,7 +248,7 @@ impl Kernel for Canneal {
             .collect();
         Placement {
             positions,
-            neighbours: self.neighbours.clone(),
+            neighbours: Arc::clone(&self.neighbours),
         }
     }
 

@@ -10,7 +10,7 @@
 //! paper calls this out explicitly).
 
 use crate::util::{interleaved_chunks, seeded_rng};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::Rng64;
 use lva_core::{Pc, Value, ValueType};
 use lva_sim::{LoadReq, SimHarness};
@@ -39,6 +39,8 @@ pub struct Ferret {
     /// Query feature vectors: query-major, then segment, then dim.
     queries: Vec<f32>,
     n_queries: usize,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<Vec<Vec<usize>>>,
 }
 
 impl Ferret {
@@ -123,6 +125,7 @@ impl Ferret {
             db,
             queries,
             n_queries,
+            memo: PreciseMemo::default(),
         }
     }
 }
@@ -130,6 +133,10 @@ impl Ferret {
 impl Kernel for Ferret {
     /// Per query: the ranked set of result image ids.
     type Output = Vec<Vec<usize>>;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "ferret"

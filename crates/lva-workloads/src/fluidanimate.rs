@@ -9,7 +9,7 @@
 //! precise execution.
 
 use crate::util::{interleaved_chunks, seeded_rng};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::{Pc, Value, ValueType};
 use lva_sim::{LoadReq, SimHarness};
 
@@ -37,6 +37,8 @@ pub struct Fluidanimate {
     particles: usize,
     steps: usize,
     init: Vec<[f32; 3]>,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<Vec<i32>>,
 }
 
 impl Fluidanimate {
@@ -70,6 +72,7 @@ impl Fluidanimate {
             particles,
             steps,
             init,
+            memo: PreciseMemo::default(),
         }
     }
 
@@ -92,6 +95,10 @@ impl Fluidanimate {
 impl Kernel for Fluidanimate {
     /// Final cell id of each particle.
     type Output = Vec<i32>;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "fluidanimate"

@@ -34,6 +34,7 @@ pub mod x264;
 
 use lva_cpu::ThreadTrace;
 use lva_sim::{MechanismKind, Phase1Stats, SimConfig, SimHarness};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Input scale: how much work a kernel does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,6 +65,11 @@ pub trait Kernel {
     /// The paper's application-level output-error metric, comparing an
     /// approximate run's output against the precise run's.
     fn output_error(&self, precise: &Self::Output, approx: &Self::Output) -> f64;
+
+    /// This kernel object's memo of precise reference runs, which
+    /// [`Workload::execute`] consults; a kernel stores one
+    /// [`PreciseMemo::default`] and returns it here.
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output>;
 }
 
 /// Results of executing a workload under some configuration, always paired
@@ -144,15 +150,76 @@ impl WorkloadRun {
 /// Object-safe workload interface used by the experiment harness: run under
 /// a configuration, get stats + error back. `Send + Sync` so boxed
 /// workloads can be shared across the sweep engine's worker threads
-/// ([`lva_sim::sweep`]) — `execute` takes `&self` and each call builds
-/// its own harness, so concurrent execution is safe by construction.
+/// ([`lva_sim::sweep`]) — `execute` takes `&self`, each call builds its
+/// own harness, and the shared [`PreciseMemo`] computes each reference at
+/// most once, so concurrent execution is safe by construction.
 pub trait Workload: Send + Sync {
     /// Benchmark name.
     fn name(&self) -> &'static str;
 
-    /// Runs the kernel twice — once precisely for the reference output and
-    /// baseline statistics, once under `config` — and reports both.
+    /// Runs the kernel under `config` and reports it against a precise
+    /// reference run of the same kernel.
+    ///
+    /// The reference runs under `config` with the mechanism set to precise
+    /// and tracing, degradation, fault injection, timelines and the
+    /// governor off. That derived [`SimConfig`] keys this workload
+    /// object's [`PreciseMemo`], which lives as long as the object: each
+    /// reference is simulated at most once, then every later call with an
+    /// equal derived config reuses its output and statistics. A `config`
+    /// equal to its own reference is simulated once, as the reference. A
+    /// reference that records traces ([`SimConfig::record_traces`]) is
+    /// simulated afresh, its traces move into the result and the rest is
+    /// dropped: the memo never keeps one.
     fn execute(&self, config: &SimConfig) -> WorkloadRun;
+}
+
+/// A precise reference run: the kernel's output and its statistics.
+#[derive(Debug)]
+struct Reference<T> {
+    output: T,
+    stats: Phase1Stats,
+}
+
+/// One reference, computed by whichever caller asks for it first.
+type ReferenceCell<T> = Arc<OnceLock<Reference<T>>>;
+
+/// The precise reference runs of one kernel object, keyed on the precise
+/// [`SimConfig`] that [`Workload::execute`] derives. A lookup holds the
+/// lock only to find or insert an entry's cell, never across a
+/// simulation; concurrent callers that want the same reference wait on
+/// its cell, so it is computed once. A clone starts empty.
+#[derive(Debug)]
+pub struct PreciseMemo<T> {
+    entries: Mutex<Vec<(SimConfig, ReferenceCell<T>)>>,
+}
+
+impl<T> PreciseMemo<T> {
+    /// The cell of `config`'s reference, inserted empty if absent.
+    fn cell(&self, config: &SimConfig) -> ReferenceCell<T> {
+        // Every update is one push of a whole entry, so a lock poisoned
+        // by a panicking caller still guards a valid list.
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, cell)) = entries.iter().find(|(key, _)| key == config) {
+            return Arc::clone(cell);
+        }
+        let cell = ReferenceCell::default();
+        entries.push((config.clone(), Arc::clone(&cell)));
+        cell
+    }
+}
+
+impl<T> Default for PreciseMemo<T> {
+    fn default() -> Self {
+        PreciseMemo {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<T> Clone for PreciseMemo<T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl<K: Kernel + Send + Sync> Workload for K {
@@ -174,26 +241,88 @@ impl<K: Kernel + Send + Sync> Workload for K {
             govern: None,
             ..config.clone()
         };
-        let mut precise_harness = SimHarness::new(precise_cfg);
-        let precise_out = self.run(&mut precise_harness);
-        let precise = precise_harness.finish();
+        let is_reference = *config == precise_cfg;
+        let simulate = |cfg: SimConfig| {
+            let mut harness = SimHarness::new(cfg);
+            let out = self.run(&mut harness);
+            (out, harness.finish())
+        };
 
-        let mut harness = SimHarness::new(config.clone());
-        let out = self.run(&mut harness);
-        let run = harness.finish();
+        // A trace-recording reference gets a cell of its own, dropped on
+        // return, so only its traces outlive this call.
+        let records_traces = precise_cfg.record_traces;
+        let cell = if records_traces {
+            ReferenceCell::default()
+        } else {
+            self.precise_memo().cell(&precise_cfg)
+        };
+        let mut traces = Vec::new();
+        let reference = cell.get_or_init(|| {
+            let (output, run) = simulate(precise_cfg);
+            if records_traces {
+                traces = run.traces;
+            }
+            Reference {
+                output,
+                stats: run.stats,
+            }
+        });
 
+        if is_reference {
+            return WorkloadRun {
+                name: Kernel::name(self),
+                stats: reference.stats.clone(),
+                precise_stats: reference.stats.clone(),
+                output_error: self.output_error(&reference.output, &reference.output),
+                traces,
+                collectors: vec![lva_obs::TraceCollector::Off; reference.stats.per_thread.len()],
+                degrade: Vec::new(),
+                timelines: Vec::new(),
+                govern: Vec::new(),
+            };
+        }
+
+        let (out, run) = simulate(config.clone());
         WorkloadRun {
             name: Kernel::name(self),
             stats: run.stats,
-            precise_stats: precise.stats,
-            output_error: self.output_error(&precise_out, &out),
-            traces: precise.traces,
+            precise_stats: reference.stats.clone(),
+            output_error: self.output_error(&reference.output, &out),
+            traces,
             collectors: run.collectors,
             degrade: run.degrade,
             timelines: run.timelines,
             govern: run.govern,
         }
     }
+}
+
+/// Benchmark names in the paper's figure order: the names [`by_name`]
+/// accepts and [`registry_seeded`] builds.
+pub const NAMES: [&str; 7] = [
+    "blackscholes",
+    "bodytrack",
+    "canneal",
+    "ferret",
+    "fluidanimate",
+    "swaptions",
+    "x264",
+];
+
+/// Builds the one benchmark called `name` (see [`NAMES`]), or `None` for
+/// an unknown name.
+#[must_use]
+pub fn by_name(name: &str, scale: WorkloadScale, seed: u64) -> Option<Box<dyn Workload>> {
+    Some(match name {
+        "blackscholes" => Box::new(blackscholes::Blackscholes::with_seed(scale, seed)),
+        "bodytrack" => Box::new(bodytrack::Bodytrack::with_seed(scale, seed)),
+        "canneal" => Box::new(canneal::Canneal::with_seed(scale, seed)),
+        "ferret" => Box::new(ferret::Ferret::with_seed(scale, seed)),
+        "fluidanimate" => Box::new(fluidanimate::Fluidanimate::with_seed(scale, seed)),
+        "swaptions" => Box::new(swaptions::Swaptions::with_seed(scale, seed)),
+        "x264" => Box::new(x264::X264::with_seed(scale, seed)),
+        _ => return None,
+    })
 }
 
 /// All seven benchmarks at the given scale, in the paper's figure order.
@@ -207,15 +336,10 @@ pub fn registry(scale: WorkloadScale) -> Vec<Box<dyn Workload>> {
 /// runs; sweeping `seed` over `0..5` reproduces that methodology.
 #[must_use]
 pub fn registry_seeded(scale: WorkloadScale, seed: u64) -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(blackscholes::Blackscholes::with_seed(scale, seed)),
-        Box::new(bodytrack::Bodytrack::with_seed(scale, seed)),
-        Box::new(canneal::Canneal::with_seed(scale, seed)),
-        Box::new(ferret::Ferret::with_seed(scale, seed)),
-        Box::new(fluidanimate::Fluidanimate::with_seed(scale, seed)),
-        Box::new(swaptions::Swaptions::with_seed(scale, seed)),
-        Box::new(x264::X264::with_seed(scale, seed)),
-    ]
+    NAMES
+        .iter()
+        .map(|name| by_name(name, scale, seed).expect("every listed name builds"))
+        .collect()
 }
 
 #[cfg(test)]

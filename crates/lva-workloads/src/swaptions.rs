@@ -10,7 +10,7 @@
 //! tiny working set under enormous compute — which our scaling mirrors.
 
 use crate::util::{interleaved_chunks, relative_error, seeded_rng};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::Rng64;
 use lva_core::{Pc, ValueType};
 use lva_sim::SimHarness;
@@ -39,6 +39,8 @@ pub struct Swaptions {
     curve: [f64; CURVE_POINTS],
     /// Input-perturbation seed (0 for the canonical inputs).
     seed: u64,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<Vec<f64>>,
 }
 
 impl Swaptions {
@@ -87,12 +89,17 @@ impl Swaptions {
             tenors,
             vols,
             curve,
+            memo: PreciseMemo::default(),
         }
     }
 }
 
 impl Kernel for Swaptions {
     type Output = Vec<f64>;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "swaptions"

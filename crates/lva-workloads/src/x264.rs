@@ -10,7 +10,7 @@
 //! compares peak signal-to-noise ratio and bit rate, weighted equally.
 
 use crate::util::{interleaved_chunks, relative_error, seeded_rng};
-use crate::{Kernel, WorkloadScale};
+use crate::{Kernel, PreciseMemo, WorkloadScale};
 use lva_core::{Pc, ValueType};
 use lva_sim::{LoadReq, SimHarness};
 
@@ -40,6 +40,8 @@ pub struct X264 {
     prev: Vec<u8>,
     /// Current frame to encode.
     cur: Vec<u8>,
+    /// Precise reference runs, kept by [`crate::Workload::execute`].
+    memo: PreciseMemo<EncodeResult>,
 }
 
 impl X264 {
@@ -90,6 +92,7 @@ impl X264 {
             search,
             prev,
             cur,
+            memo: PreciseMemo::default(),
         }
     }
 
@@ -104,6 +107,10 @@ impl X264 {
 
 impl Kernel for X264 {
     type Output = EncodeResult;
+
+    fn precise_memo(&self) -> &PreciseMemo<Self::Output> {
+        &self.memo
+    }
 
     fn name(&self) -> &'static str {
         "x264"

@@ -13,21 +13,17 @@
 use lva::core::{ApproximatorConfig, ComputeFn, ConfidenceWindow};
 use lva::sim::sweep::{run_sweep, SweepOptions};
 use lva::sim::SimConfig;
-use lva::workloads::{registry, WorkloadScale};
+use lva::workloads::{by_name, WorkloadScale, NAMES};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "canneal".into());
-    let workloads = registry(WorkloadScale::Test);
-    let workload = workloads
-        .iter()
-        .find(|w| w.name() == which)
-        .unwrap_or_else(|| {
-            eprintln!("unknown benchmark {which}; pick one of:");
-            for w in &workloads {
-                eprintln!("  {}", w.name());
-            }
-            std::process::exit(1);
-        });
+    let workload = by_name(&which, WorkloadScale::Test, 0).unwrap_or_else(|| {
+        eprintln!("unknown benchmark {which}; pick one of:");
+        for name in NAMES {
+            eprintln!("  {name}");
+        }
+        std::process::exit(1);
+    });
 
     // The frontier grid, in print order.
     let mut points: Vec<(String, ApproximatorConfig)> = Vec::new();

@@ -1,26 +1,8 @@
 //! `lva-explore` — command-line front end for the LVA reproduction.
 //!
-//! ```text
-//! lva-explore list
-//! lva-explore run canneal --mech lva --degree 4 --scale small
-//! lva-explore sweep all --degrees 0,2,4,8 --delays 4,8 --threads 4 --json sweep.json
-//! lva-explore trace canneal --out canneal.lvat --scale test
-//! lva-explore trace blackscholes --out trace.json --mech lva --degree 4
-//! lva-explore attribute blackscholes --mech lva --degree 4 --top 10
-//! lva-explore run blackscholes --error-budget 5% --inject seed=42,table=1e-3
-//! lva-explore run canneal --govern quality=2%,energy-weight=0.1
-//! lva-explore sweep all --error-budgets 1,5,10 --degrees 0,4
-//! lva-explore sweep all --govern-slos 1,2,5 --degrees 0,4
-//! lva-explore replay canneal.lvat --mech lva --degree 16 --mesi --hetero
-//! lva-explore analyze canneal.lvat
-//! lva-explore report --workload blackscholes --scale test --out BENCH_smoke.json
-//! lva-explore compare BENCH_baseline.json BENCH_smoke.json --tolerance 0.5 --top 10
-//! lva-explore serve --addr 127.0.0.1:7744 --threads 4 --cache-dir /tmp/lva-cache
-//! lva-explore submit all --addr 127.0.0.1:7744 --degrees 0,4 --delays 4,8
-//! lva-explore serve-ctl metrics --addr 127.0.0.1:7744
-//! lva-explore serve-ctl watch --addr 127.0.0.1:7744 --once
-//! lva-explore timeline blackscholes --epoch 500 --out timeline.json
-//! ```
+//! `lva-explore --help` prints example invocations of every subcommand
+//! (the `USAGE` table below); `lva-explore <subcommand> --help` prints
+//! that subcommand's.
 
 use lva::core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, LvpConfig};
 use lva::cpu::trace_io;
@@ -35,12 +17,35 @@ use lva::sim::sweep::{run_sweep, SweepOptions};
 use lva::sim::{
     FaultConfig, FullSystem, FullSystemConfig, GovernorConfig, MechanismKind, SimConfig, SweepSpec,
 };
-use lva::workloads::{registry, registry_seeded, WorkloadRun, WorkloadScale};
+use lva::workloads::{by_name, WorkloadRun, WorkloadScale, NAMES};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// One example invocation per line; `--help` prints these.
+const USAGE: &str = "\
+lva-explore list
+lva-explore run canneal --mech lva --degree 4 --scale small
+lva-explore sweep all --degrees 0,2,4,8 --delays 4,8 --threads 4 --json sweep.json
+lva-explore trace canneal --out canneal.lvat --scale test
+lva-explore trace blackscholes --out trace.json --mech lva --degree 4
+lva-explore attribute blackscholes --mech lva --degree 4 --top 10
+lva-explore run blackscholes --error-budget 5% --inject seed=42,table=1e-3
+lva-explore run canneal --govern quality=2%,energy-weight=0.1
+lva-explore sweep all --error-budgets 1,5,10 --degrees 0,4
+lva-explore sweep all --govern-slos 1,2,5 --degrees 0,4
+lva-explore replay canneal.lvat --mech lva --degree 16 --mesi --hetero
+lva-explore analyze canneal.lvat
+lva-explore report --workload blackscholes --scale test --out BENCH_smoke.json
+lva-explore compare BENCH_baseline.json BENCH_smoke.json --tolerance 0.5 --top 10
+lva-explore serve --addr 127.0.0.1:7744 --threads 4 --cache-dir /tmp/lva-cache
+lva-explore submit all --addr 127.0.0.1:7744 --degrees 0,4 --delays 4,8
+lva-explore serve-ctl metrics --addr 127.0.0.1:7744
+lva-explore serve-ctl watch --addr 127.0.0.1:7744 --once
+lva-explore timeline blackscholes --epoch 500 --out timeline.json
+";
 
 struct Args {
     positional: Vec<String>,
@@ -50,7 +55,8 @@ struct Args {
 
 impl Args {
     fn parse(raw: impl Iterator<Item = String>) -> Result<Args, String> {
-        const SWITCHES: [&str; 7] = [
+        const SWITCHES: [&str; 8] = [
+            "help",
             "mesi",
             "hetero",
             "progress",
@@ -64,7 +70,9 @@ impl Args {
         let mut switches = Vec::new();
         let mut raw = raw.peekable();
         while let Some(arg) = raw.next() {
-            if let Some(name) = arg.strip_prefix("--") {
+            if arg == "-h" {
+                switches.push("help".to_owned());
+            } else if let Some(name) = arg.strip_prefix("--") {
                 if SWITCHES.contains(&name) {
                     switches.push(name.to_owned());
                     continue;
@@ -369,19 +377,21 @@ fn print_degrade(run: &WorkloadRun) {
 
 fn cmd_list() {
     println!("benchmarks (PARSEC kernels of §IV):");
-    for w in registry(WorkloadScale::Test) {
-        println!("  {}", w.name());
+    for name in NAMES {
+        println!("  {name}");
     }
+}
+
+fn unknown_benchmark(name: &str) -> String {
+    format!("unknown benchmark {name} (try `lva-explore list`)")
 }
 
 fn find_workload(
     name: &str,
     scale: WorkloadScale,
+    seed: u64,
 ) -> Result<Box<dyn lva::workloads::Workload>, String> {
-    registry(scale)
-        .into_iter()
-        .find(|w| w.name() == name)
-        .ok_or_else(|| format!("unknown benchmark {name} (try `lva-explore list`)"))
+    by_name(name, scale, seed).ok_or_else(|| unknown_benchmark(name))
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -390,7 +400,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("usage: lva-explore run <benchmark> [--mech ...]")?;
     let scale = scale_of(args)?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
     let config = robustness_of(
         args,
         SimConfig {
@@ -546,26 +556,27 @@ fn grid_configs_of(args: &Args) -> Result<Vec<SimConfig>, String> {
     spec.try_build().map_err(|e| format!("invalid sweep grid: {e}"))
 }
 
-/// Resolves a `<benchmark|all>` positional against the registry.
-fn benchmarks_of(args: &Args, scale: WorkloadScale) -> Result<(String, Vec<Box<dyn lva::workloads::Workload>>), String> {
-    let which = args
-        .positional
-        .get(1)
-        .map_or("all", String::as_str)
-        .to_owned();
-    let workloads: Vec<_> = registry(scale)
+/// Resolves a `<benchmark|all>` positional to its label and the
+/// benchmark names it selects.
+fn benchmark_names(args: &Args) -> Result<(String, Vec<&'static str>), String> {
+    let which = args.positional.get(1).map_or("all", String::as_str);
+    let names: Vec<&'static str> = NAMES
         .into_iter()
-        .filter(|w| which == "all" || w.name() == which)
+        .filter(|n| which == "all" || *n == which)
         .collect();
-    if workloads.is_empty() {
-        return Err(format!("unknown benchmark {which} (try `lva-explore list`)"));
+    if names.is_empty() {
+        return Err(unknown_benchmark(which));
     }
-    Ok((which, workloads))
+    Ok((which.to_owned(), names))
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let scale = scale_of(args)?;
-    let (which, workloads) = benchmarks_of(args, scale)?;
+    let (which, names) = benchmark_names(args)?;
+    let workloads: Vec<_> = names
+        .into_iter()
+        .map(|name| find_workload(name, scale, 0))
+        .collect::<Result<_, _>>()?;
     let configs = grid_configs_of(args)?;
 
     let workers = match args.flag("threads") {
@@ -652,10 +663,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         .flag("seed")
         .map_or(Ok(0), str::parse)
         .map_err(|e| format!("bad --seed: {e}"))?;
-    let workload = registry_seeded(scale, seed)
-        .into_iter()
-        .find(|w| w.name() == name)
-        .ok_or_else(|| format!("unknown benchmark {name} (try `lva-explore list`)"))?;
+    let workload = find_workload(name, scale, seed)?;
     let config = robustness_of(
         args,
         SimConfig {
@@ -778,7 +786,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .ok_or("usage: lva-explore trace <benchmark> --out <file.lvat|file.json>")?;
     let out = args.flag("out").ok_or("missing --out <file>")?;
     let scale = scale_of(args)?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
 
     // A `.json` target records per-load *events* and exports them in
     // Chrome trace-event format (open in Perfetto / chrome://tracing);
@@ -834,7 +842,7 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("usage: lva-explore attribute <benchmark> [--mech ...] [--top N] [--out m.json]")?;
     let scale = scale_of(args)?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
     let trace = sampling_of(args, TraceConfig::attribution())?;
     let config = robustness_of(
         args,
@@ -1024,7 +1032,7 @@ fn cmd_timeline(args: &Args) -> Result<(), String> {
         .flag("epoch")
         .map_or(Ok(500), str::parse)
         .map_err(|e| format!("bad --epoch: {e}"))?;
-    let workload = find_workload(name, scale)?;
+    let workload = find_workload(name, scale, 0)?;
     let config = robustness_of(
         args,
         SimConfig {
@@ -1197,8 +1205,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         .flag("seed")
         .map_or(Ok(0), str::parse)
         .map_err(|e| format!("bad --seed: {e}"))?;
-    let (_, workloads) = benchmarks_of(args, scale)?;
-    let names: Vec<String> = workloads.iter().map(|w| w.name().to_owned()).collect();
+    let (_, names) = benchmark_names(args)?;
     let configs = grid_configs_of(args)?;
 
     // Same config-major point order as `sweep`.
@@ -1207,7 +1214,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         .flat_map(|config| {
             names
                 .iter()
-                .map(move |name| PointSpec::new(name, scale, seed, config.clone()))
+                .map(move |name| PointSpec::new(*name, scale, seed, config.clone()))
         })
         .collect();
 
@@ -1422,6 +1429,20 @@ fn cmd_serve_ctl(args: &Args) -> Result<(), String> {
     }
 }
 
+/// Prints the usage lines of `subcommand`, or all of them when it is
+/// absent or unknown.
+fn print_usage(subcommand: Option<&str>) {
+    let own: Vec<&str> = USAGE
+        .lines()
+        .filter(|l| subcommand.is_some_and(|sub| l.split_whitespace().nth(1) == Some(sub)))
+        .collect();
+    if own.is_empty() {
+        print!("usage:\n{USAGE}");
+    } else {
+        println!("usage:\n{}", own.join("\n"));
+    }
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -1430,6 +1451,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.switch("help") {
+        print_usage(args.positional.first().map(String::as_str));
+        return ExitCode::SUCCESS;
+    }
     let result = match args.positional.first().map(String::as_str) {
         Some("list") => {
             cmd_list();
@@ -1448,7 +1473,7 @@ fn main() -> ExitCode {
         Some("submit") => cmd_submit(&args),
         Some("serve-ctl") => cmd_serve_ctl(&args),
         _ => Err(
-            "usage: lva-explore <list|run|sweep|trace|attribute|replay|analyze|report|compare|timeline|serve|submit|serve-ctl> ..."
+            "usage: lva-explore <list|run|sweep|trace|attribute|replay|analyze|report|compare|timeline|serve|submit|serve-ctl> ... (see --help)"
                 .to_owned(),
         ),
     };

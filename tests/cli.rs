@@ -109,6 +109,34 @@ fn usage_error_without_subcommand() {
 }
 
 #[test]
+fn help_prints_usage_and_succeeds() {
+    let (ok, stdout, stderr) = explore(&["--help"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("usage:"), "{stdout}");
+    for sub in ["run", "sweep", "report", "serve-ctl"] {
+        assert!(
+            stdout.contains(&format!("lva-explore {sub} ")),
+            "missing {sub}"
+        );
+    }
+    for args in [
+        &["run", "--help"][..],
+        &["run", "canneal", "-h"],
+        &["sweep", "--help"],
+    ] {
+        let (ok, stdout, stderr) = explore(args);
+        assert!(ok, "{args:?}: {stderr}");
+        let lines: Vec<&str> = stdout.lines().skip(1).collect();
+        assert!(!lines.is_empty(), "{args:?}: {stdout}");
+        let prefix = format!("lva-explore {} ", args[0]);
+        assert!(
+            lines.iter().all(|l| l.starts_with(&prefix)),
+            "{args:?}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn report_writes_a_schema_versioned_manifest() {
     let dir = std::env::temp_dir().join("lva_cli_report");
     std::fs::create_dir_all(&dir).expect("tmp dir");

@@ -837,3 +837,139 @@ fn fullsystem_stats_are_pinned() {
         );
     }
 }
+
+/// The configurations the precise-reference memo must be invisible under:
+/// one per mechanism family, each robustness and observability knob, the
+/// trace-recording precise run that phase 2 replays, and two whose
+/// references differ from the rest (another value delay and L1 geometry).
+fn memo_configs() -> Vec<(&'static str, SimConfig)> {
+    use lva::obs::{TimelineConfig, TraceConfig};
+    vec![
+        ("precise", SimConfig::precise()),
+        ("lva", SimConfig::baseline_lva()),
+        (
+            "lva-deg4",
+            SimConfig::lva(ApproximatorConfig::with_degree(4)),
+        ),
+        ("clp", SimConfig::clp(ClpConfig::baseline())),
+        (
+            "lva-clp",
+            SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+        ),
+        ("governed", governed_configs()[0].1.clone()),
+        ("budget-faults", robustness_configs()[0].1.clone()),
+        (
+            "trace-on",
+            SimConfig::baseline_lva().with_trace(TraceConfig::attribution()),
+        ),
+        (
+            "timeline-on",
+            SimConfig::baseline_lva().with_timeline(TimelineConfig::every(512)),
+        ),
+        ("precise-traces", SimConfig::precise().with_traces()),
+        (
+            "lva-delay16",
+            SimConfig::baseline_lva().with_value_delay(16),
+        ),
+        (
+            "lva-16k-l1",
+            SimConfig {
+                l1: lva::mem::CacheConfig::fullsystem_l1(),
+                ..SimConfig::baseline_lva()
+            },
+        ),
+    ]
+}
+
+/// Everything a run reports, in a comparable form: both fingerprints, the
+/// error's bits, the replay traces, the collectors' attribution and the
+/// degradation, timeline and governor reports.
+fn run_signature(run: &lva::workloads::WorkloadRun) -> String {
+    let attribution: Vec<_> = run.collectors.iter().map(|c| c.attribution()).collect();
+    format!(
+        "{}|{}|{}|{:#018x}|{:?}|{} collectors {:?}|{:?}|{:?}|{:?}",
+        run.name,
+        run.stats.fingerprint(),
+        run.precise_stats.fingerprint(),
+        run.output_error.to_bits(),
+        run.traces,
+        run.collectors.len(),
+        attribution,
+        run.degrade,
+        run.timelines,
+        run.govern,
+    )
+}
+
+#[test]
+fn warm_precise_memo_matches_fresh_workloads() {
+    // A workload object that has already run every configuration answers
+    // from its precise-reference memo; a freshly built one simulates both
+    // runs. Every reported field must agree, for every kernel.
+    let configs = memo_configs();
+    let warm = registry(WorkloadScale::Test);
+    let grid: Vec<(usize, usize)> = (0..configs.len())
+        .flat_map(|c| (0..warm.len()).map(move |w| (c, w)))
+        .collect();
+    let options = SweepOptions::default();
+    for _ in 0..2 {
+        run_sweep(&grid, &options, |_, &(c, w)| {
+            warm[w].execute(&configs[c].1);
+        });
+    }
+    let fresh = run_sweep(&grid, &options, |_, &(c, w)| {
+        let workload =
+            lva::workloads::by_name(warm[w].name(), WorkloadScale::Test, 0).expect("known name");
+        run_signature(&workload.execute(&configs[c].1))
+    })
+    .into_values();
+    for (i, &(c, w)) in grid.iter().enumerate() {
+        let run = warm[w].execute(&configs[c].1);
+        assert_eq!(
+            run_signature(&run),
+            fresh[i],
+            "{}/{}: the warm memo diverged from a fresh workload",
+            configs[c].0,
+            warm[w].name()
+        );
+        let records_traces = configs[c].1.record_traces;
+        assert_eq!(!run.traces.is_empty(), records_traces, "{}", configs[c].0);
+    }
+}
+
+#[test]
+fn repeated_grid_passes_over_one_registry_are_identical_across_worker_counts() {
+    // The first pass over a registry fills the memo; the second reads it.
+    // Both must match each other and every other worker count.
+    let configs = memo_configs();
+    let mut reference: Option<Vec<String>> = None;
+    for workers in [1usize, 2, 8] {
+        let workloads = registry(WorkloadScale::Test);
+        let grid: Vec<(usize, usize)> = (0..configs.len())
+            .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
+            .collect();
+        let options = SweepOptions {
+            workers: Some(workers),
+            progress: false,
+        };
+        let pass = || {
+            run_sweep(&grid, &options, |_, &(c, w)| {
+                let run = workloads[w].execute(&configs[c].1);
+                format!(
+                    "{}:{}:{}:{:#018x}",
+                    run.name,
+                    run.stats.fingerprint(),
+                    run.precise_stats.fingerprint(),
+                    run.output_error.to_bits()
+                )
+            })
+            .into_values()
+        };
+        let first = pass();
+        assert_eq!(first, pass(), "second pass diverged (workers={workers})");
+        match &reference {
+            None => reference = Some(first),
+            Some(r) => assert_eq!(r, &first, "passes diverged at workers={workers}"),
+        }
+    }
+}
