@@ -16,6 +16,23 @@
 //! an atomic-rename disk store, so results survive server restarts and a
 //! crash can never leave a half-written entry.
 //!
+//! Below the cache, points share simulation work too. [`evaluate_point`]
+//! takes its kernel object from `lva-workloads`' process-wide registry
+//! ([`lva_workloads::shared`]), so every point of one
+//! `(workload, scale, seed)` reuses that object's inputs and the precise
+//! reference runs it memoizes: in a fresh server, a seven-config sweep of
+//! the seven kernels simulates 7 references for its 49 points, and a
+//! later sweep of the same kernels none. Both levels are bounded by
+//! constants, since `seed` and `value_delay` arrive from the wire as free
+//! integers: at most [`lva_workloads::SHARED_CAPACITY`] (35) objects and
+//! [`lva_workloads::MEMO_CAPACITY`] (8) references per object, oldest
+//! evicted first. Measured with a counting allocator at Medium scale,
+//! one seed of all seven kernels holding 8 references each keeps
+//! 19.4 MiB of heap, so the paper's five seeds fill the registry at
+//! 97 MiB; the largest possible footprint, 35 canneal objects at 8
+//! references each, is 405 MiB. The `serve/registry/*` metrics report
+//! what is resident and how many references were simulated or reused.
+//!
 //! Module map (data flows top to bottom):
 //!
 //! ```text
@@ -35,8 +52,8 @@
 //!   wall-interval timeline (an `lva-obs` [`lva_obs::EpochSampler`] fed
 //!   by a sampler thread) that the `watch` request streams live.
 //! * [`protocol`] — the line-JSON wire format, both directions.
-//! * [`server`] / [`client`] — the TCP accept loop and its typed
-//!   counterpart.
+//! * [`server`] / [`client`] — the TCP accept loop, which serves at most
+//!   [`MAX_CONNECTIONS`] connections at once, and its typed counterpart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,4 +71,4 @@ pub use client::{Client, SubmitOutcome};
 pub use fingerprint::{point_fingerprint, CACHE_SCHEMA_VERSION};
 pub use point::{evaluate_point, point_record, PointSpec};
 pub use sched::{JobOutcome, PointResult, Scheduler};
-pub use server::{Server, ServerHandle, MAX_REQUEST_BYTES};
+pub use server::{Server, ServerHandle, MAX_CONNECTIONS, MAX_REQUEST_BYTES};

@@ -22,7 +22,7 @@ use crate::fingerprint::{parse_scale, point_fingerprint, scale_label};
 use lva_core::{ApproximatorConfig, CacheLevel, ClpConfig, ConfidenceWindow, LvpConfig};
 use lva_obs::{Json, MetricsRegistry, RunRecord};
 use lva_sim::{DegradeConfig, GovernorConfig, MechanismKind, SimConfig};
-use lva_workloads::{by_name, WorkloadRun, WorkloadScale};
+use lva_workloads::{shared, WorkloadRun, WorkloadScale};
 
 /// One requested sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -400,10 +400,22 @@ pub fn point_record(spec: &PointSpec, run: &WorkloadRun) -> RunRecord {
     record
 }
 
-/// Evaluates one point from scratch: resolve the workload, run it under
-/// the spec's config, render the manifest. This is the server's default
-/// evaluator and the reference implementation integration tests compare
-/// cached results against.
+/// Evaluates one point: take the workload from the process-wide
+/// registry ([`lva_workloads::shared`]), run it under the spec's config,
+/// render the manifest. This is the server's default evaluator and the
+/// reference implementation integration tests compare cached results
+/// against.
+///
+/// Points of one `(workload, scale, seed)` share one kernel object, so
+/// its inputs are built once and each precise reference it pairs runs
+/// with is simulated once, then reused by every point that derives the
+/// same precise config. The registry keeps at most
+/// [`lva_workloads::SHARED_CAPACITY`] objects and each object at most
+/// [`lva_workloads::MEMO_CAPACITY`] references, oldest evicted first, so
+/// no sequence of requests grows them further: at Medium scale the
+/// registry holds at most 405 MiB of kernel state (see the crate docs).
+/// The manifest is byte-identical to one rendered from a fresh
+/// [`lva_workloads::by_name`] object.
 ///
 /// # Errors
 ///
@@ -412,7 +424,7 @@ pub fn evaluate_point(spec: &PointSpec) -> Result<String, String> {
     spec.config
         .validate()
         .map_err(|e| format!("invalid config: {e}"))?;
-    let workload = by_name(&spec.workload, spec.scale, spec.seed)
+    let workload = shared(&spec.workload, spec.scale, spec.seed)
         .ok_or_else(|| format!("unknown workload {}", spec.workload))?;
     let run = workload.execute(&spec.config);
     Ok(point_record(spec, &run).to_string_pretty())
@@ -542,9 +554,133 @@ mod tests {
         assert_eq!(record.meta("fingerprint").unwrap().len(), 16);
     }
 
+    /// Picks one element of a non-empty slice.
+    fn pick<'a, T>(rng: &mut lva_core::Rng64, items: &'a [T]) -> &'a T {
+        &items[rng.gen_range(0..items.len())]
+    }
+
+    /// Wire lines of one valid point per mechanism family, bare and
+    /// wrapped in a submit request.
+    fn valid_lines() -> Vec<String> {
+        let mut configs = vec![
+            SimConfig::precise(),
+            SimConfig::baseline_lva().with_govern_slo(0.02),
+            SimConfig::baseline_lva().with_error_budget(0.05),
+            SimConfig::clp(ClpConfig::baseline()),
+            SimConfig::lva_clp(ApproximatorConfig::with_degree(4), ClpConfig::baseline()),
+            SimConfig {
+                mechanism: MechanismKind::Lvp(LvpConfig::with_ghb(2)),
+                ..SimConfig::precise()
+            },
+            SimConfig {
+                mechanism: MechanismKind::Prefetch(lva_core::PrefetcherConfig::paper(4)),
+                ..SimConfig::precise()
+            },
+        ];
+        configs[0].value_delay = 16;
+        configs
+            .into_iter()
+            .flat_map(|config| {
+                let spec = PointSpec::new("ferret", WorkloadScale::Test, 3, config);
+                [
+                    spec.to_json().expect("encodes").to_string_compact(),
+                    crate::protocol::encode_submit(&[spec]).expect("encodes"),
+                ]
+            })
+            .collect()
+    }
+
+    /// The decoders a server runs on a request line: none may panic, and a
+    /// point that decodes must survive the wire unchanged. Returns whether
+    /// `text` decoded as a point.
+    fn decode_everything(text: &str) -> bool {
+        let _ = crate::protocol::parse_request(text);
+        let Ok(json) = lva_obs::parse_json(text) else {
+            return false;
+        };
+        let Ok(spec) = PointSpec::from_json(&json) else {
+            return false;
+        };
+        assert_eq!(round_trip(&spec), spec, "{text}");
+        true
+    }
+
+    #[test]
+    fn seeded_fuzz_never_panics_the_wire_decoders() {
+        // Bytes that steer a mutation into the parser's structural paths.
+        const SYNTAX: &[u8] = b"{}[]\",:\\0123456789-+.eEtrufalsn \x7f";
+        let lines = valid_lines();
+        let mut rng = lva_core::Rng64::new(0x5eed_0001);
+        let mut decoded = 0;
+        for _ in 0..100_000 {
+            let line = pick(&mut rng, &lines).as_bytes();
+            let bytes: Vec<u8> = match rng.gen_range(0..3u32) {
+                0 => line[..rng.gen_range(0..line.len())].to_vec(),
+                1 => {
+                    let mut bytes = line.to_vec();
+                    for _ in 0..rng.gen_range(1..5usize) {
+                        let at = rng.gen_range(0..bytes.len());
+                        bytes[at] = if rng.gen_bool(0.5) {
+                            *pick(&mut rng, SYNTAX)
+                        } else {
+                            rng.gen_u64() as u8
+                        };
+                    }
+                    bytes
+                }
+                _ => (0..rng.gen_range(0..64usize))
+                    .map(|_| rng.gen_u64() as u8)
+                    .collect(),
+            };
+            decoded += usize::from(decode_everything(&String::from_utf8_lossy(&bytes)));
+        }
+        // Mutated digits and names still decode, so the round trip is
+        // exercised on points no test wrote by hand.
+        assert!(decoded > 1000, "only {decoded} inputs decoded");
+    }
+
+    #[test]
+    fn seeded_sweep_grids_round_trip_every_point() {
+        let mut rng = lva_core::Rng64::new(0x5eed_0002);
+        let mut checked = 0;
+        for _ in 0..200 {
+            let mut axis = |choices: &[u64]| -> Vec<u64> {
+                (0..rng.gen_range(0..3usize))
+                    .map(|_| *pick(&mut rng, choices))
+                    .collect()
+            };
+            let degrees: Vec<u32> = axis(&[0, 1, 2, 4, 8]).iter().map(|&d| d as u32).collect();
+            let ghb: Vec<usize> = axis(&[0, 1, 2, 4]).iter().map(|&g| g as usize).collect();
+            let delays = axis(&[1, 4, 16, 40]);
+            let clp: Vec<usize> = axis(&[64, 256, 1024]).iter().map(|&t| t as usize).collect();
+            let percent = |v: &[u64]| -> Vec<f64> { v.iter().map(|&p| p as f64 / 100.0).collect() };
+            let windows = percent(&axis(&[5, 10, 20]));
+            let budgets = percent(&axis(&[1, 5, 10]));
+            let slos = percent(&axis(&[2, 5]));
+            let Ok(grid) = SweepSpec::new()
+                .degrees(&degrees)
+                .ghb_depths(&ghb)
+                .confidence_windows(&windows)
+                .value_delays(&delays)
+                .error_budgets(&budgets)
+                .governor_slos(&slos)
+                .clp_tables(&clp)
+                .try_build()
+            else {
+                continue;
+            };
+            for config in grid {
+                let spec = PointSpec::new("x264", WorkloadScale::Small, rng.gen_u64() >> 12, config);
+                assert_eq!(round_trip(&spec), spec);
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000, "only {checked} grid points were built");
+    }
+
     #[test]
     fn evaluate_point_reports_unknown_workloads() {
         let spec = PointSpec::new("nonesuch", WorkloadScale::Test, 0, SimConfig::precise());
-        assert!(evaluate_point(&spec).unwrap_err().contains("unknown workload"));
+        assert_eq!(evaluate_point(&spec).unwrap_err(), "unknown workload nonesuch");
     }
 }

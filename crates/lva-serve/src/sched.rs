@@ -37,6 +37,7 @@ use crate::cache::ResultCache;
 use crate::point::{evaluate_point, PointSpec};
 use lva_obs::{EpochFrame, EpochSampler, MetricsRegistry, Timeline, TimelineConfig};
 use lva_sim::sched::{catch_point, JobId, SubmissionQueue};
+use lva_workloads::{reuse_stats, ReuseStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -100,6 +101,8 @@ struct Inner {
     /// When the scheduler started; the timeline clock is milliseconds
     /// since this instant.
     start: Instant,
+    /// The process's reuse counters when the scheduler started.
+    reuse_at_start: ReuseStats,
     next_job: AtomicU64,
     eval: Box<Evaluator>,
 }
@@ -170,6 +173,7 @@ impl Scheduler {
             sampler_gate: Mutex::new(()),
             sampler_wake: Condvar::new(),
             start: Instant::now(),
+            reuse_at_start: reuse_stats(),
             next_job: AtomicU64::new(1),
             eval,
         });
@@ -340,11 +344,26 @@ impl Scheduler {
         }
     }
 
-    /// Snapshot of the server metrics (queue depth refreshed first).
+    /// Snapshot of the server metrics, with the queue depth and the
+    /// `serve/registry/*` gauges refreshed first. Those gauges read the
+    /// process-wide reuse levels ([`lva_workloads::reuse_stats`]): the
+    /// kernel objects and precise references resident now, and the
+    /// references simulated or reused since this scheduler started.
     #[must_use]
     pub fn metrics_dump(&self) -> Vec<(String, f64)> {
         self.refresh_depth();
-        self.inner.metrics.lock().expect("metrics lock").dump()
+        let now = reuse_stats();
+        let start = self.inner.reuse_at_start;
+        let mut metrics = self.inner.metrics.lock().expect("metrics lock");
+        for (path, value) in [
+            ("serve/registry/objects", now.objects as u64),
+            ("serve/registry/references", now.references as u64),
+            ("serve/registry/simulated", now.simulated - start.simulated),
+            ("serve/registry/reused", now.reused - start.reused),
+        ] {
+            metrics.gauge(path).set(value as f64);
+        }
+        metrics.dump()
     }
 
     fn refresh_depth(&self) {

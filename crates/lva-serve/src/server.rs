@@ -1,5 +1,7 @@
 //! The TCP front end: an accept loop handing each connection to its own
-//! thread, all connections feeding one shared [`Scheduler`].
+//! thread, all connections feeding one shared [`Scheduler`]. At most
+//! [`MAX_CONNECTIONS`] handler threads run at once; a connection beyond
+//! that is answered with one error line and closed.
 //!
 //! A connection is persistent and serially handles any number of
 //! requests. A `submit` blocks its connection (streaming progress
@@ -32,6 +34,12 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// than this much of the server's memory. An oversize line is answered
 /// with an error and the connection is closed.
 pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// Most connections served at once. Each holds one handler thread for
+/// as long as it stays open, so this bounds the threads a crowd of idle
+/// peers can pin. A connection beyond it gets one error line and is
+/// closed; the others are unaffected.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// A bound-but-not-yet-running sweep server.
 #[derive(Debug)]
@@ -89,18 +97,26 @@ impl Server {
     }
 
     /// Serves until a client sends `shutdown`: accepts connections, one
-    /// handler thread each, then joins every handler and drains the
-    /// scheduler's worker pool.
+    /// handler thread each and at most [`MAX_CONNECTIONS`] at once, then
+    /// joins every handler and drains the scheduler's worker pool.
     pub fn run(self) {
         let addr = self.listener.local_addr().ok();
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             match stream {
-                Ok(stream) => {
+                Ok(mut stream) => {
                     let _ = stream.set_nodelay(true);
+                    // A finished handler's thread has exited; its handle
+                    // need not wait for shutdown.
+                    handlers.retain(|h| !h.is_finished());
+                    if handlers.len() >= MAX_CONNECTIONS {
+                        let msg = format!("server is at its limit of {MAX_CONNECTIONS} connections");
+                        let _ = send_line(&mut stream, &protocol::encode_error(&msg));
+                        continue;
+                    }
                     let scheduler = Arc::clone(&self.scheduler);
                     let stop = Arc::clone(&self.stop);
                     handlers.push(std::thread::spawn(move || {

@@ -146,7 +146,10 @@ impl SubmissionQueue {
 /// The `AssertUnwindSafe` is sound here by construction: callers discard
 /// every value the closure could have touched when it fails — each sweep
 /// point builds its own simulator state from scratch, so no partially
-/// mutated state survives the unwind.
+/// mutated state survives the unwind. The state points do share, kernel
+/// objects and their precise references (`lva_workloads::reuse`), is
+/// immutable once built and stored whole through `OnceLock`s, which stay
+/// empty when their initializer panics.
 ///
 /// # Errors
 ///

@@ -28,13 +28,16 @@ pub mod bodytrack;
 pub mod canneal;
 pub mod ferret;
 pub mod fluidanimate;
+pub mod reuse;
 pub mod swaptions;
 pub mod util;
 pub mod x264;
 
 use lva_cpu::ThreadTrace;
 use lva_sim::{MechanismKind, Phase1Stats, SimConfig, SimHarness};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use reuse::Reference;
+pub use reuse::{reuse_stats, shared, PreciseMemo, ReuseStats, MEMO_CAPACITY, SHARED_CAPACITY};
+use std::sync::Arc;
 
 /// Input scale: how much work a kernel does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,7 +155,8 @@ impl WorkloadRun {
 /// workloads can be shared across the sweep engine's worker threads
 /// ([`lva_sim::sweep`]) — `execute` takes `&self`, each call builds its
 /// own harness, and the shared [`PreciseMemo`] computes each reference at
-/// most once, so concurrent execution is safe by construction.
+/// most once, so concurrent execution is safe by construction. The
+/// [`reuse`] module sets how long objects and references are kept.
 pub trait Workload: Send + Sync {
     /// Benchmark name.
     fn name(&self) -> &'static str;
@@ -163,63 +167,17 @@ pub trait Workload: Send + Sync {
     /// The reference runs under `config` with the mechanism set to precise
     /// and tracing, degradation, fault injection, timelines and the
     /// governor off. That derived [`SimConfig`] keys this workload
-    /// object's [`PreciseMemo`], which lives as long as the object: each
-    /// reference is simulated at most once, then every later call with an
-    /// equal derived config reuses its output and statistics. A `config`
-    /// equal to its own reference is simulated once, as the reference. A
-    /// reference that records traces ([`SimConfig::record_traces`]) is
-    /// simulated afresh, its traces move into the result and the rest is
-    /// dropped: the memo never keeps one.
+    /// object's [`PreciseMemo`]: a reference is simulated once, then every
+    /// later call with an equal derived config reuses its output and
+    /// statistics while it stays among the memo's [`MEMO_CAPACITY`] most
+    /// recent. A `config` equal to its own reference is simulated once, as
+    /// the reference. A reference that records traces
+    /// ([`SimConfig::record_traces`]) is simulated afresh, its traces move
+    /// into the result and the rest is dropped: the memo never keeps one.
     fn execute(&self, config: &SimConfig) -> WorkloadRun;
-}
 
-/// A precise reference run: the kernel's output and its statistics.
-#[derive(Debug)]
-struct Reference<T> {
-    output: T,
-    stats: Phase1Stats,
-}
-
-/// One reference, computed by whichever caller asks for it first.
-type ReferenceCell<T> = Arc<OnceLock<Reference<T>>>;
-
-/// The precise reference runs of one kernel object, keyed on the precise
-/// [`SimConfig`] that [`Workload::execute`] derives. A lookup holds the
-/// lock only to find or insert an entry's cell, never across a
-/// simulation; concurrent callers that want the same reference wait on
-/// its cell, so it is computed once. A clone starts empty.
-#[derive(Debug)]
-pub struct PreciseMemo<T> {
-    entries: Mutex<Vec<(SimConfig, ReferenceCell<T>)>>,
-}
-
-impl<T> PreciseMemo<T> {
-    /// The cell of `config`'s reference, inserted empty if absent.
-    fn cell(&self, config: &SimConfig) -> ReferenceCell<T> {
-        // Every update is one push of a whole entry, so a lock poisoned
-        // by a panicking caller still guards a valid list.
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, cell)) = entries.iter().find(|(key, _)| key == config) {
-            return Arc::clone(cell);
-        }
-        let cell = ReferenceCell::default();
-        entries.push((config.clone(), Arc::clone(&cell)));
-        cell
-    }
-}
-
-impl<T> Default for PreciseMemo<T> {
-    fn default() -> Self {
-        PreciseMemo {
-            entries: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl<T> Clone for PreciseMemo<T> {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
+    /// How many precise references this object's memo holds.
+    fn resident_references(&self) -> usize;
 }
 
 impl<K: Kernel + Send + Sync> Workload for K {
@@ -252,7 +210,7 @@ impl<K: Kernel + Send + Sync> Workload for K {
         // return, so only its traces outlive this call.
         let records_traces = precise_cfg.record_traces;
         let cell = if records_traces {
-            ReferenceCell::default()
+            Arc::default()
         } else {
             self.precise_memo().cell(&precise_cfg)
         };
@@ -294,6 +252,10 @@ impl<K: Kernel + Send + Sync> Workload for K {
             timelines: run.timelines,
             govern: run.govern,
         }
+    }
+
+    fn resident_references(&self) -> usize {
+        self.precise_memo().len()
     }
 }
 

@@ -4,7 +4,9 @@
 //! clients, and make a repeated sweep dramatically cheaper than a cold
 //! one.
 
-use lva::serve::{evaluate_point, Client, PointSpec, ResultCache, Scheduler, Server, ServerHandle};
+use lva::serve::{
+    evaluate_point, point_record, Client, PointSpec, ResultCache, Scheduler, Server, ServerHandle,
+};
 use lva::sim::sweep::{run_sweep, SweepOptions};
 use lva::sim::SimConfig;
 use lva::workloads::WorkloadScale;
@@ -187,6 +189,127 @@ fn bad_request_lines_get_errors_and_the_server_keeps_serving() {
     client.ping().expect("second client is served");
     client.shutdown_server().expect("shutdown");
     handle.join();
+}
+
+#[test]
+fn connections_beyond_the_cap_get_an_error_and_the_rest_keep_serving() {
+    use std::io::Read;
+    let handle = start_server(1);
+    let mut first = Client::connect(handle.addr()).expect("first client");
+    // Open connections hold their handler threads, so the server is full
+    // once the cap's worth are open.
+    let idle: Vec<_> = (1..lva::serve::MAX_CONNECTIONS)
+        .map(|_| std::net::TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+    let over = std::net::TcpStream::connect(handle.addr()).expect("connect over the cap");
+    over.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = std::io::BufReader::new(over);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    let reply = lva::obs::parse_json(line.trim()).expect("error line is JSON");
+    assert_eq!(reply.get("ok"), Some(&lva::obs::Json::Bool(false)), "{line}");
+    assert!(line.contains("limit"), "{line}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).expect("clean close"), 0);
+
+    first.ping().expect("connections within the cap are still served");
+    drop(idle);
+    first.shutdown_server().expect("shutdown");
+    handle.join();
+}
+
+/// The seven configurations of a served sweep as the wire expresses them:
+/// precise, LVA, degree 4, CLP, LVA+CLP, governed and budgeted.
+fn wire_configs() -> Vec<SimConfig> {
+    use lva::core::{ApproximatorConfig, ClpConfig};
+    vec![
+        SimConfig::precise(),
+        SimConfig::baseline_lva(),
+        SimConfig::lva(ApproximatorConfig::with_degree(4)),
+        SimConfig::clp(ClpConfig::baseline()),
+        SimConfig::lva_clp(ApproximatorConfig::baseline(), ClpConfig::baseline()),
+        SimConfig::baseline_lva().with_govern_slo(0.02),
+        SimConfig::baseline_lva().with_error_budget(0.05),
+    ]
+}
+
+/// The manifest of `spec` rendered from a workload object of its own.
+fn fresh_manifest(spec: &PointSpec) -> String {
+    let workload = lva::workloads::by_name(&spec.workload, spec.scale, spec.seed).expect("known");
+    point_record(spec, &workload.execute(&spec.config)).to_string_pretty()
+}
+
+/// Evaluates `points` on `threads` threads, each claiming the next point.
+fn evaluate_on(threads: usize, points: &[PointSpec]) -> Vec<String> {
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let results = std::sync::Mutex::new(vec![String::new(); points.len()]);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(spec) = points.get(i) else { break };
+                let text = evaluate_point(spec).expect("point evaluates");
+                results.lock().expect("results")[i] = text;
+            });
+        }
+    });
+    results.into_inner().expect("results")
+}
+
+#[test]
+fn registry_served_points_match_fresh_workloads_at_any_thread_count_and_order() {
+    // Each thread count starts on a seed no other test uses, so its first
+    // order runs against a cold registry and the second against a warm one.
+    for (threads, seed) in [(1, 101), (2, 102), (8, 103)] {
+        let mut points: Vec<PointSpec> = wire_configs()
+            .iter()
+            .flat_map(|config| {
+                lva::workloads::NAMES
+                    .iter()
+                    .map(|&name| PointSpec::new(name, WorkloadScale::Test, seed, config.clone()))
+            })
+            .collect();
+        let mut expected: Vec<String> = points.iter().map(fresh_manifest).collect();
+        for _ in 0..2 {
+            let got = evaluate_on(threads, &points);
+            for (i, (got, want)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(got, want, "{threads} threads, point {i}: {:?}", points[i]);
+            }
+            points.reverse();
+            expected.reverse();
+        }
+    }
+}
+
+#[test]
+fn registry_and_memo_stay_at_their_caps_without_changing_results() {
+    use lva::workloads::{reuse_stats, shared, MEMO_CAPACITY, SHARED_CAPACITY};
+    // More distinct value delays than one object's memo keeps, then the
+    // first delay again, after its reference was evicted.
+    let seed = 201;
+    let mut delays: Vec<u64> = (1..=MEMO_CAPACITY as u64 + 2).collect();
+    delays.push(1);
+    for delay in delays {
+        let mut config = SimConfig::baseline_lva();
+        config.value_delay = delay;
+        let spec = PointSpec::new("blackscholes", WorkloadScale::Test, seed, config);
+        assert_eq!(evaluate_point(&spec).unwrap(), fresh_manifest(&spec), "delay {delay}");
+    }
+    let object = shared("blackscholes", WorkloadScale::Test, seed).expect("known");
+    assert_eq!(object.resident_references(), MEMO_CAPACITY);
+
+    // More distinct seeds than the registry keeps, then the first seed
+    // again, after its object was evicted.
+    let mut seeds: Vec<u64> = (300..300 + SHARED_CAPACITY as u64 + 2).collect();
+    seeds.push(300);
+    for seed in seeds {
+        let spec = PointSpec::new("blackscholes", WorkloadScale::Test, seed, SimConfig::precise());
+        assert_eq!(evaluate_point(&spec).unwrap(), fresh_manifest(&spec), "seed {seed}");
+    }
+    // The registry never shrinks, so no concurrent test can move it off
+    // its cap once this loop filled it.
+    assert_eq!(reuse_stats().objects, SHARED_CAPACITY);
 }
 
 /// Kills the server child if a test assertion unwinds before the clean
