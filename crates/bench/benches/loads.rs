@@ -1,16 +1,11 @@
-//! `bench loads` — host-side throughput of the phase-1 load pipeline.
+//! `bench loads` — deterministic counters of the phase-1 load pipeline.
 //!
-//! Not a paper figure: this measures how fast the *simulator itself*
-//! replays instrumented loads (loads/sec on the blackscholes kernel,
-//! precise vs. LVA), so fast-path regressions in the harness, cache or
-//! memory layers show up as numbers instead of slower CI.
-//!
-//! The manifest splits its stats deliberately: deterministic counters
-//! (`loads/...`) are gated by `lva-explore compare` in CI, while
-//! wall-clock throughput lands under `time/...`, which the compare engine
-//! reports but never gates on.
+//! Not a paper figure: each configuration runs the blackscholes kernel
+//! once and records its load-path counters (`loads/...`, `degrade/...`,
+//! `clp/...`, `govern/...`), which `lva-explore compare` gates in CI. The
+//! bench times nothing; host cost per layer is measured by `perfbench`
+//! (see `perfbench/README.md`).
 
-use lva_bench::timing::bench_case;
 use lva_bench::{banner, scale_from_env, FigureManifest};
 use lva_core::{ApproximatorConfig, ClpConfig};
 use lva_sim::{FaultConfig, GovernorConfig, SimConfig};
@@ -18,8 +13,8 @@ use lva_workloads::registry;
 
 fn main() {
     banner(
-        "loads — phase-1 load-path throughput (loads/sec, blackscholes)",
-        "simulator performance baseline; not a paper figure",
+        "loads — phase-1 load-path counters (blackscholes)",
+        "load-path counter gate; not a paper figure",
     );
     let scale = scale_from_env();
     let workloads = registry(scale);
@@ -43,14 +38,9 @@ fn main() {
     ] {
         let run = bs.execute(&cfg);
         // execute() runs the kernel twice (precise reference + mechanism),
-        // so both runs' loads count toward throughput.
+        // so both runs' loads count.
         let loads = run.stats.total.loads + run.precise_stats.total.loads;
-        let report = bench_case("loadpath", label, || bs.execute(&cfg));
-        let loads_per_sec = loads as f64 * 1e9 / report.best_ns;
-        println!(
-            "{:<14} {label:<28} {:>12.0} loads/sec  ({loads} loads/exec)",
-            "", loads_per_sec
-        );
+        println!("{:<14} {label:<28} {loads:>12} loads/exec", "loadpath");
         manifest.push_stat(format!("loads/{label}/loads"), loads as f64);
         manifest.push_stat(
             format!("loads/{label}/instructions"),
@@ -60,8 +50,6 @@ fn main() {
             format!("loads/{label}/raw_misses"),
             run.stats.total.raw_misses as f64,
         );
-        manifest.push_stat(format!("time/loadpath/{label}/loads_per_sec"), loads_per_sec);
-        manifest.push_stat(format!("time/loadpath/{label}/exec_best_ns"), report.best_ns);
         // Degradation-controller and fault counters are deterministic for a
         // fixed seed, so CI gates them like the loads/ counters above.
         let t = &run.stats.total;
@@ -97,12 +85,7 @@ fn main() {
     ] {
         let run = bs.execute(&cfg);
         let loads = run.stats.total.loads + run.precise_stats.total.loads;
-        let report = bench_case("clp", label, || bs.execute(&cfg));
-        let loads_per_sec = loads as f64 * 1e9 / report.best_ns;
-        println!(
-            "{:<14} {label:<28} {:>12.0} loads/sec  ({loads} loads/exec)",
-            "", loads_per_sec
-        );
+        println!("{:<14} {label:<28} {loads:>12} loads/exec", "clp");
         let t = &run.stats.total;
         clp_manifest.push_stat(format!("clp/{label}/loads"), loads as f64);
         clp_manifest.push_stat(format!("clp/{label}/predictions"), t.clp_predictions as f64);
@@ -112,8 +95,6 @@ fn main() {
             format!("clp/{label}/load_latency_cycles"),
             t.load_latency_cycles as f64,
         );
-        clp_manifest.push_stat(format!("time/clp/{label}/loads_per_sec"), loads_per_sec);
-        clp_manifest.push_stat(format!("time/clp/{label}/exec_best_ns"), report.best_ns);
     }
     if let Err(e) = clp_manifest.write() {
         eprintln!("  (clp manifest export failed: {e})");
@@ -134,12 +115,7 @@ fn main() {
         });
         let run = bs.execute(&cfg);
         let loads = run.stats.total.loads + run.precise_stats.total.loads;
-        let report = bench_case("govern", label, || bs.execute(&cfg));
-        let loads_per_sec = loads as f64 * 1e9 / report.best_ns;
-        println!(
-            "{:<14} {label:<28} {:>12.0} loads/sec  ({loads} loads/exec)",
-            "", loads_per_sec
-        );
+        println!("{:<14} {label:<28} {loads:>12} loads/exec", "govern");
         let t = &run.stats.total;
         govern_manifest.push_stat(format!("govern/{label}/loads"), loads as f64);
         govern_manifest.push_stat(format!("govern/{label}/epochs"), t.govern_epochs as f64);
@@ -154,12 +130,10 @@ fn main() {
             format!("govern/{label}/pc_disables"),
             t.govern_disables as f64,
         );
-        govern_manifest.push_stat(format!("time/govern/{label}/loads_per_sec"), loads_per_sec);
-        govern_manifest.push_stat(format!("time/govern/{label}/exec_best_ns"), report.best_ns);
     }
     if let Err(e) = govern_manifest.write() {
         eprintln!("  (govern manifest export failed: {e})");
     }
     println!();
-    println!("time/ paths are informational; loads/, clp/ and govern/ counters gate in CI.");
+    println!("loads/, degrade/, clp/ and govern/ counters gate in CI.");
 }

@@ -14,7 +14,6 @@
 
 pub mod manifest;
 pub mod svg;
-pub mod timing;
 
 pub use manifest::FigureManifest;
 

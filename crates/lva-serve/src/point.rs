@@ -65,12 +65,13 @@ impl PointSpec {
     /// # Errors
     ///
     /// Returns a message when the config uses knobs the wire format
-    /// cannot express (see [`config_to_json`]).
+    /// cannot express (see [`config_to_json`]), or naming the key of an
+    /// integer above 2^53 - 1, which the wire would round.
     pub fn to_json(&self) -> Result<Json, String> {
         Ok(Json::Obj(vec![
             ("workload".into(), Json::Str(self.workload.clone())),
             ("scale".into(), Json::Str(scale_label(self.scale).into())),
-            ("seed".into(), Json::Num(self.seed as f64)),
+            ("seed".into(), wire_int("seed", self.seed)?),
             ("config".into(), config_to_json(&self.config)?),
         ]))
     }
@@ -106,6 +107,23 @@ impl PointSpec {
     }
 }
 
+/// The largest integer the wire carries. JSON numbers travel as IEEE
+/// doubles, which hold every integer up to 2^53 but round 2^53 + 1 to
+/// 2^53, so a decoded 2^53 may have been sent as a different seed.
+/// Below 2^53 every decoded integer is the one that was sent.
+const MAX_WIRE_INT: u64 = (1 << 53) - 1;
+
+/// An integer for the wire, or an error naming `key` when the wire would
+/// round it.
+fn wire_int(key: &str, n: u64) -> Result<Json, String> {
+    if n > MAX_WIRE_INT {
+        return Err(format!(
+            "'{key}' = {n} is above 2^53 - 1, the largest integer the wire carries exactly"
+        ));
+    }
+    Ok(Json::Num(n as f64))
+}
+
 fn get_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
     match json.get(key) {
         None => Ok(None),
@@ -114,6 +132,11 @@ fn get_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
                 .as_f64()
                 .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
                 .ok_or_else(|| format!("'{key}' must be a non-negative integer"))?;
+            if n > MAX_WIRE_INT as f64 {
+                return Err(format!(
+                    "'{key}' is above 2^53 - 1, the largest integer the wire carries exactly"
+                ));
+            }
             Ok(Some(n as u64))
         }
     }
@@ -157,9 +180,9 @@ fn approx_to_json(cfg: &ApproximatorConfig) -> Result<Json, String> {
         );
     }
     Ok(Json::Obj(vec![
-        ("table".into(), Json::Num(cfg.table_entries as f64)),
-        ("lhb".into(), Json::Num(cfg.lhb_entries as f64)),
-        ("ghb".into(), Json::Num(cfg.ghb_entries as f64)),
+        ("table".into(), wire_int("table", cfg.table_entries as u64)?),
+        ("lhb".into(), wire_int("lhb", cfg.lhb_entries as u64)?),
+        ("ghb".into(), wire_int("ghb", cfg.ghb_entries as u64)?),
         ("degree".into(), Json::Num(f64::from(cfg.degree))),
         ("window".into(), window_to_json(cfg.confidence_window)),
         ("on_int".into(), Json::Bool(cfg.confidence_on_int)),
@@ -189,14 +212,14 @@ fn approx_from_json(json: &Json) -> Result<ApproximatorConfig, String> {
     Ok(cfg)
 }
 
-fn clp_to_json(cfg: &ClpConfig) -> Json {
-    Json::Obj(vec![
-        ("table".into(), Json::Num(cfg.table_entries as f64)),
+fn clp_to_json(cfg: &ClpConfig) -> Result<Json, String> {
+    Ok(Json::Obj(vec![
+        ("table".into(), wire_int("table", cfg.table_entries as u64)?),
         ("bits".into(), Json::Num(f64::from(cfg.confidence_bits))),
         ("depth".into(), Json::Num(f64::from(cfg.hierarchy_depth))),
-        ("penalty".into(), Json::Num(cfg.mispredict_penalty as f64)),
+        ("penalty".into(), wire_int("penalty", cfg.mispredict_penalty)?),
         ("slow".into(), Json::Str(cfg.slow_threshold.label().into())),
-    ])
+    ]))
 }
 
 fn clp_from_json(json: &Json) -> Result<ClpConfig, String> {
@@ -227,7 +250,8 @@ fn clp_from_json(json: &Json) -> Result<ClpConfig, String> {
 /// # Errors
 ///
 /// Returns a message when the config uses anything outside the sweep
-/// axes: a non-baseline thread count or L1 geometry, fault injection,
+/// axes, or naming the key of an integer above 2^53 - 1, which the wire
+/// would round: a non-baseline thread count or L1 geometry, fault injection,
 /// non-default degradation smoothing knobs, the realistic-LVP baseline,
 /// or approximator fields beyond window/degree/GHB/geometry. Tracing and
 /// timeline flags are simply dropped — they are result-neutral, and the
@@ -242,7 +266,7 @@ pub fn config_to_json(config: &SimConfig) -> Result<Json, String> {
     }
     let mut members = vec![(
         "value_delay".to_owned(),
-        Json::Num(config.value_delay as f64),
+        wire_int("value_delay", config.value_delay)?,
     )];
     let (label, detail) = match &config.mechanism {
         MechanismKind::Precise => ("precise", None),
@@ -259,7 +283,7 @@ pub fn config_to_json(config: &SimConfig) -> Result<Json, String> {
                 "lvp",
                 Some((
                     "lvp".to_owned(),
-                    Json::Obj(vec![("ghb".into(), Json::Num(l.ghb_entries as f64))]),
+                    Json::Obj(vec![("ghb".into(), wire_int("ghb", l.ghb_entries as u64)?)]),
                 )),
             )
         }
@@ -278,10 +302,10 @@ pub fn config_to_json(config: &SimConfig) -> Result<Json, String> {
                 )),
             )
         }
-        MechanismKind::Clp(c) => ("clp", Some(("clp".to_owned(), clp_to_json(c)))),
+        MechanismKind::Clp(c) => ("clp", Some(("clp".to_owned(), clp_to_json(c)?))),
         MechanismKind::LvaClp(a, c) => {
             members.push(("lva".to_owned(), approx_to_json(a)?));
-            ("lva+clp", Some(("clp".to_owned(), clp_to_json(c))))
+            ("lva+clp", Some(("clp".to_owned(), clp_to_json(c)?)))
         }
         MechanismKind::RealisticLvp(_) => {
             return Err("realistic-lvp cannot be expressed on the wire".into())
@@ -530,6 +554,54 @@ mod tests {
         let json = lva_obs::parse_json(bad).unwrap();
         let err = PointSpec::from_json(&json).unwrap_err();
         assert!(err.contains("invalid config"), "{err}");
+    }
+
+    #[test]
+    fn wire_integers_are_exact_or_rejected() {
+        let two53 = 1u64 << 53;
+        // Below 2^53 every integer survives the wire, through the
+        // submit line the client sends and the parser the server runs.
+        for n in [0, two53 - 1] {
+            let spec = PointSpec::new(
+                "canneal",
+                WorkloadScale::Test,
+                n,
+                SimConfig::baseline_lva().with_value_delay(n),
+            );
+            let line = crate::protocol::encode_submit(std::slice::from_ref(&spec)).unwrap();
+            match crate::protocol::parse_request(&line).unwrap() {
+                crate::protocol::Request::Submit(points) => assert_eq!(points, vec![spec]),
+                other => panic!("{other:?}"),
+            }
+        }
+        // From 2^53 on, the double a number travels as no longer names
+        // one integer: encoding refuses, naming the key.
+        for n in [two53, two53 + 1, u64::MAX] {
+            let seed = PointSpec::new("canneal", WorkloadScale::Test, n, SimConfig::precise());
+            let err = crate::protocol::encode_submit(&[seed]).unwrap_err();
+            assert!(err.contains("'seed'"), "{err}");
+            let delay = PointSpec::new(
+                "canneal",
+                WorkloadScale::Test,
+                0,
+                SimConfig::precise().with_value_delay(n),
+            );
+            let err = delay.to_json().unwrap_err();
+            assert!(err.contains("'value_delay'"), "{err}");
+        }
+        // A hand-written line cannot smuggle them in either: 2^53 + 1
+        // parses as 2^53 and would alias that seed's point.
+        for text in ["9007199254740992", "9007199254740993", "18446744073709551615"] {
+            let line = format!(
+                r#"{{"cmd":"submit","points":[{{"workload":"canneal","scale":"test",
+                   "seed":{text},"config":{{"mechanism":"precise"}}}}]}}"#
+            );
+            let err = crate::protocol::parse_request(&line).unwrap_err();
+            assert!(err.contains("'seed'"), "{text}: {err}");
+            let config = format!(r#"{{"mechanism":"precise","value_delay":{text}}}"#);
+            let err = config_from_json(&lva_obs::parse_json(&config).unwrap()).unwrap_err();
+            assert!(err.contains("'value_delay'"), "{text}: {err}");
+        }
     }
 
     #[test]

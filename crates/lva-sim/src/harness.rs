@@ -111,6 +111,40 @@ struct ThreadCtx {
     govern_due: u64,
 }
 
+/// What the L1-hit body adds to a thread's counters, kept apart from
+/// [`ThreadStats`] so a hit stretch accumulates it in registers and books
+/// it once.
+#[derive(Debug, Default)]
+struct HitTally {
+    loads: u64,
+    approx_loads: u64,
+    hits: u64,
+    prefetch_uses: u64,
+}
+
+impl HitTally {
+    /// Books the tally: every load is an instruction, and every hit costs
+    /// the L1's service latency.
+    #[inline]
+    fn book(&self, stats: &mut ThreadStats) {
+        stats.instructions += self.loads;
+        stats.loads += self.loads;
+        stats.approx_loads += self.approx_loads;
+        stats.l1_hits += self.hits;
+        stats.useful_prefetches += self.prefetch_uses;
+        stats.load_latency_cycles += self.hits * CacheLevel::L1.service_latency();
+    }
+}
+
+impl ThreadCtx {
+    /// Fetches the block holding `addr` into the L1 on behalf of a load:
+    /// a demand fill, or a prefetch marked for first-use accounting.
+    fn fill(&mut self, addr: Addr, prefetched: bool, ctx: TraceCtx) {
+        self.stats.load_fetches += 1;
+        self.l1.install_traced(addr, prefetched, &mut self.obs, ctx);
+    }
+}
+
 /// Everything a finished run yields: statistics and (optionally) the
 /// per-thread traces for phase-2 replay.
 #[derive(Debug)]
@@ -142,7 +176,7 @@ pub struct RunArtifacts {
 ///
 /// ```
 /// use lva_sim::{SimConfig, SimHarness};
-/// use lva_core::{Pc, ValueType, Value};
+/// use lva_core::{Pc, ValueType};
 ///
 /// let mut h = SimHarness::new(SimConfig::baseline_lva());
 /// let buf = h.alloc(4 * 1024, 64);
@@ -152,7 +186,8 @@ pub struct RunArtifacts {
 /// h.set_thread(0);
 /// let mut acc = 0.0;
 /// for i in 0..1024 {
-///     acc += h.load_approx_f32(Pc(0x100), buf.offset(4 * i));
+///     // An annotated (approximable) f32 load.
+///     acc += h.load(Pc(0x100), buf.offset(4 * i), ValueType::F32, true).as_f32();
 ///     h.tick(3); // model some arithmetic
 /// }
 /// let run = h.finish();
@@ -279,10 +314,11 @@ impl SimHarness {
     }
 
     /// Whether the fast-path invariant holds on every thread: an empty
-    /// pending training queue must imply an empty in-flight set. The
-    /// fast paths in [`Self::load`] and [`Self::load_batch`] rely on
-    /// this to skip the MSHR probe entirely; it is `debug_assert`ed
-    /// there and checked across mechanisms by the conformance battery.
+    /// pending training queue must imply an empty in-flight set. Under it
+    /// a load issued with nothing pending pays one compare instead of an
+    /// MSHR probe, and [`Self::load_batch`] may run its L1-hit stretch;
+    /// it is `debug_assert`ed there and checked across mechanisms by the
+    /// conformance battery.
     #[must_use]
     pub fn fast_path_invariant_holds(&self) -> bool {
         self.threads
@@ -300,14 +336,14 @@ impl SimHarness {
         }
     }
 
-    /// The generic instrumented load. Typed wrappers below are what the
-    /// kernels call.
+    /// The instrumented load: the one per-load step every load takes,
+    /// alone or from [`load_batch`](Self::load_batch).
     ///
-    /// The body is the L1-hit fast path: when no training fetch is pending
-    /// (which implies nothing is in flight — every in-flight block has an
-    /// `install: true` queue entry until its training fires) it runs only
-    /// the counter updates, the memory read and the cache access, skipping
-    /// queue advancement, the MSHR probe, and all mechanism dispatch.
+    /// Closes any timeline or governor epoch that is due, advances the
+    /// load clock, delivers the trainings now due (only while some are
+    /// pending), runs the shared L1-hit body and records the load into the
+    /// phase-2 trace. A load that neither hits the L1 nor merges into an
+    /// outstanding fill goes to the configured mechanism.
     #[inline]
     pub fn load(&mut self, pc: Pc, addr: Addr, ty: ValueType, approx: bool) -> Value {
         let t = &mut self.threads[self.cur];
@@ -321,47 +357,81 @@ impl SimHarness {
             Self::govern_epoch(t);
         }
         t.load_clock += 1;
-        if !t.pending.is_empty() {
-            return self.load_with_pending(pc, addr, ty, approx);
+        if t.pending.is_empty() {
+            debug_assert!(
+                t.in_flight.is_empty(),
+                "empty pending queue must imply an empty in-flight set"
+            );
+        } else {
+            // One more load has issued: deliver every training now due.
+            Self::advance_pending(&self.mem, t);
         }
-        // The fast path below skips the MSHR probe on the strength of this
-        // invariant; see `InFlightSet` and the conformance battery.
-        debug_assert!(
-            t.in_flight.is_empty(),
-            "empty pending queue must imply an empty in-flight set"
-        );
-        t.stats.instructions += 1;
-        t.stats.loads += 1;
-        t.stats.approx_loads += u64::from(approx);
+        let mut tally = HitTally::default();
+        let (actual, hit) = Self::issue(&self.mem, t, &mut tally, pc, addr, ty, approx);
+        tally.book(&mut t.stats);
+        if self.config.record_traces {
+            t.trace.push_load(pc, addr, ty, approx, actual);
+        }
+        if hit {
+            actual
+        } else {
+            self.load_miss(pc, addr, ty, approx, actual)
+        }
+    }
+
+    /// The L1-hit body, written once and shared by [`load`](Self::load)
+    /// and [`load_batch`](Self::load_batch)'s hit stretch: counts the
+    /// load into `tally`, reads its value from memory and probes the L1.
+    /// A hit, or a secondary miss that merges into an outstanding fill (an
+    /// MSHR hit), is counted in full. Returns the value in memory and
+    /// whether the load was served; an unserved load still needs the miss
+    /// path, after the caller has booked `tally`.
+    ///
+    /// Always inlined: as an out-of-line call the hit stretch would keep
+    /// `tally` in memory and pay a call per load.
+    #[inline(always)]
+    fn issue(
+        mem: &SimMemory,
+        t: &mut ThreadCtx,
+        tally: &mut HitTally,
+        pc: Pc,
+        addr: Addr,
+        ty: ValueType,
+        approx: bool,
+    ) -> (Value, bool) {
+        tally.loads += 1;
+        tally.approx_loads += u64::from(approx);
         if approx && t.last_approx_pc != Some(pc) {
             t.last_approx_pc = Some(pc);
             t.stats.approx_pcs.insert(pc);
         }
-        let actual = self.mem.read_value(addr, ty);
-        if self.config.record_traces {
-            t.trace.push_load(pc, addr, ty, approx, actual);
-        }
-        match t.l1.access(addr) {
+        let actual = mem.read_value(addr, ty);
+        let hit = match t.l1.access(addr) {
             lva_mem::AccessResult::Hit {
                 first_use_of_prefetch,
             } => {
-                t.stats.l1_hits += 1;
-                t.stats.useful_prefetches += u64::from(first_use_of_prefetch);
-                t.stats.load_latency_cycles += CacheLevel::L1.service_latency();
-                actual
+                tally.prefetch_uses += u64::from(first_use_of_prefetch);
+                true
             }
-            lva_mem::AccessResult::Miss => self.load_miss(pc, addr, ty, approx, actual),
-        }
+            // Nothing is in flight while no training is pending, so the
+            // common miss pays one compare here, not a probe.
+            lva_mem::AccessResult::Miss => {
+                !t.in_flight.is_empty() && t.in_flight.contains(addr.block_index())
+            }
+        };
+        tally.hits += u64::from(hit);
+        (actual, hit)
     }
 
-    /// Issues a batch of loads on the current thread, amortizing the
-    /// per-load dispatch: the thread lookup, the timeline-epoch compare and
-    /// the pending-queue probe are hoisted out of the request loop, and the
-    /// stats counters accumulate in locals across each uninterrupted
-    /// L1-hit stretch. Observable behaviour is identical to issuing the
-    /// requests through [`load`](Self::load) one at a time — batch
-    /// boundaries never change stats, traces, timelines or returned values
-    /// — so kernels may batch wherever their access pattern allows.
+    /// Issues a batch of loads on the current thread. Observable
+    /// behaviour is identical to issuing the requests through
+    /// [`load`](Self::load) one at a time — batch boundaries never change
+    /// stats, traces, timelines or returned values — so kernels may batch
+    /// wherever their access pattern allows.
+    ///
+    /// While no training is pending, no epoch is due and no trace is
+    /// recorded, the per-load step has nothing to do but the L1-hit body,
+    /// so consecutive requests run only that body, up to the first miss.
     ///
     /// `out[i]` receives the value of `reqs[i]`.
     ///
@@ -374,10 +444,9 @@ impl SimHarness {
         let mut i = 0;
         while i < reqs.len() {
             let t = &mut self.threads[self.cur];
-            // Everything the canonical path re-checks per load: epoch
-            // sampling, queue advancement, trace recording. The stretch
-            // below is licensed only while none of them can occur;
-            // `fast_until` is how far that license extends.
+            // The stretch below is licensed only while nothing the
+            // per-load step checks can occur; `fast_until` is how far that
+            // license extends.
             let fast_until = if record || !t.pending.is_empty() {
                 i
             } else {
@@ -395,45 +464,20 @@ impl SimHarness {
                 t.in_flight.is_empty(),
                 "empty pending queue must imply an empty in-flight set"
             );
-            // Mirrors `load`'s L1-hit body with the counters held in
-            // locals; stops at the first miss, which may enqueue a training
-            // and thereby invalidate the empty-pending precondition.
-            let mem = &self.mem;
-            let mut issued = 0u64;
-            let mut approx_loads = 0u64;
-            let mut prefetch_uses = 0u64;
+            // Stops at the first miss, which may enqueue a training and
+            // thereby end the empty-pending precondition.
+            let mut tally = HitTally::default();
             let mut miss = None;
             for (j, &(pc, addr, ty, approx)) in reqs[i..fast_until].iter().enumerate() {
-                issued += 1;
-                if approx {
-                    approx_loads += 1;
-                    if t.last_approx_pc != Some(pc) {
-                        t.last_approx_pc = Some(pc);
-                        t.stats.approx_pcs.insert(pc);
-                    }
+                let (actual, hit) = Self::issue(&self.mem, t, &mut tally, pc, addr, ty, approx);
+                if !hit {
+                    miss = Some((i + j, actual));
+                    break;
                 }
-                let actual = mem.read_value(addr, ty);
-                match t.l1.access(addr) {
-                    lva_mem::AccessResult::Hit {
-                        first_use_of_prefetch,
-                    } => {
-                        prefetch_uses += u64::from(first_use_of_prefetch);
-                        out[i + j] = actual;
-                    }
-                    lva_mem::AccessResult::Miss => {
-                        miss = Some((i + j, actual));
-                        break;
-                    }
-                }
+                out[i + j] = actual;
             }
-            t.load_clock += issued;
-            t.stats.instructions += issued;
-            t.stats.loads += issued;
-            t.stats.approx_loads += approx_loads;
-            let hits = issued - u64::from(miss.is_some());
-            t.stats.l1_hits += hits;
-            t.stats.useful_prefetches += prefetch_uses;
-            t.stats.load_latency_cycles += hits * CacheLevel::L1.service_latency();
+            t.load_clock += tally.loads;
+            tally.book(&mut t.stats);
             match miss {
                 Some((j, actual)) => {
                     let (pc, addr, ty, approx) = reqs[j];
@@ -454,52 +498,11 @@ impl SimHarness {
         out
     }
 
-    /// Slow preamble for loads issued while trainings are pending: advance
-    /// the value-delay queue, then re-run the counter/L1 steps with the
-    /// MSHR merge check the fast path skips.
-    fn load_with_pending(&mut self, pc: Pc, addr: Addr, ty: ValueType, approx: bool) -> Value {
-        let t = &mut self.threads[self.cur];
-
-        // One more load has issued: deliver every training now due.
-        Self::advance_pending(&self.mem, t);
-
-        t.stats.instructions += 1;
-        t.stats.loads += 1;
-        t.stats.approx_loads += u64::from(approx);
-        if approx && t.last_approx_pc != Some(pc) {
-            t.last_approx_pc = Some(pc);
-            t.stats.approx_pcs.insert(pc);
-        }
-        let actual = self.mem.read_value(addr, ty);
-        if self.config.record_traces {
-            t.trace.push_load(pc, addr, ty, approx, actual);
-        }
-        match t.l1.access(addr) {
-            lva_mem::AccessResult::Hit {
-                first_use_of_prefetch,
-            } => {
-                t.stats.l1_hits += 1;
-                t.stats.useful_prefetches += u64::from(first_use_of_prefetch);
-                t.stats.load_latency_cycles += CacheLevel::L1.service_latency();
-                return actual;
-            }
-            lva_mem::AccessResult::Miss => {}
-        }
-        if t.in_flight.contains(addr.block_index()) {
-            // Secondary miss merged into the outstanding fill (MSHR hit).
-            t.stats.l1_hits += 1;
-            t.stats.load_latency_cycles += CacheLevel::L1.service_latency();
-            return actual;
-        }
-        self.load_miss(pc, addr, ty, approx, actual)
-    }
-
     /// A genuine L1 miss with no fill outstanding: record it and dispatch
     /// to the configured mechanism.
     fn load_miss(&mut self, pc: Pc, addr: Addr, ty: ValueType, approx: bool, actual: Value) -> Value {
         let value_delay = self.config.value_delay;
         let t = &mut self.threads[self.cur];
-        let block = addr.block_index();
         t.stats.raw_misses += 1;
         let ctx = TraceCtx::new(t.core, t.stats.instructions);
         if t.obs.enabled() {
@@ -518,20 +521,10 @@ impl SimHarness {
         // pre-clp harness.
         let level = Self::serving_level(t, addr);
 
-        // 3. Mechanism.
-        match &mut t.mechanism {
+        let value_prediction = match &mut t.mechanism {
             Mechanism::Lva(_) if approx => {
-                let (value, approximated) = Self::lva_approx_miss(
-                    &self.mem,
-                    value_delay,
-                    t,
-                    pc,
-                    addr,
-                    ty,
-                    actual,
-                    block,
-                    ctx,
-                );
+                let (value, approximated) =
+                    Self::lva_approx_miss(&self.mem, value_delay, t, pc, addr, ty, actual, ctx);
                 // An approximation hides the whole walk; anything else
                 // stalls for the conventional serial probe sequence.
                 t.stats.load_latency_cycles += if approximated {
@@ -539,7 +532,7 @@ impl SimHarness {
                 } else {
                     level.serial_latency()
                 };
-                value
+                return value;
             }
             Mechanism::Clp(predictor) => {
                 let prediction = predictor.predict_traced(pc, &mut t.obs, ctx);
@@ -548,85 +541,54 @@ impl SimHarness {
                 t.stats.clp_correct += u64::from(correct);
                 t.stats.clp_mispredicts += u64::from(prediction.confident && !correct);
                 t.stats.load_latency_cycles += predictor.load_latency(&prediction, level);
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                actual
+                t.fill(addr, false, ctx);
+                return actual;
             }
-            Mechanism::LvaClp(..) => Self::hybrid_miss(
-                &self.mem,
-                value_delay,
-                t,
-                pc,
-                addr,
-                ty,
-                approx,
-                actual,
-                block,
-                level,
-                ctx,
-            ),
-            Mechanism::Lvp(lvp) if approx => {
-                t.stats.load_latency_cycles += level.serial_latency();
-                let outcome = lvp.on_miss(pc);
-                // LVP always fetches (the prediction must be validated).
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                let train = PendingTrain {
-                    due: t.load_clock + value_delay,
+            Mechanism::LvaClp(..) => {
+                return Self::hybrid_miss(
+                    &self.mem,
+                    value_delay,
+                    t,
+                    pc,
                     addr,
                     ty,
-                    install: false,
-                    kind: TrainKind::Lvp(outcome),
-                };
-                if value_delay == 0 {
-                    Self::fire(&self.mem, t, train);
-                } else {
-                    t.pending.push_back(train);
-                }
-                actual
+                    approx,
+                    actual,
+                    level,
+                    ctx,
+                );
             }
+            Mechanism::Lvp(lvp) if approx => Some(TrainKind::Lvp(lvp.on_miss(pc))),
             Mechanism::RealisticLvp(lvp) if approx => {
-                t.stats.load_latency_cycles += level.serial_latency();
-                let prediction = lvp.on_miss(pc);
-                // The predictor always fetches; the prediction is resolved
-                // (validated) when the data arrives.
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                let train = PendingTrain {
-                    due: t.load_clock + value_delay,
-                    addr,
-                    ty,
-                    install: false,
-                    kind: TrainKind::RealisticLvp(prediction),
-                };
-                if value_delay == 0 {
-                    Self::fire(&self.mem, t, train);
-                } else {
-                    t.pending.push_back(train);
-                }
-                actual
+                Some(TrainKind::RealisticLvp(lvp.on_miss(pc)))
             }
-            Mechanism::Prefetch(prefetcher) => {
-                t.stats.load_latency_cycles += level.serial_latency();
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                for candidate in prefetcher.on_miss(pc, addr) {
-                    if !t.l1.probe(candidate) && !t.in_flight.contains(candidate.block_index())
-                    {
-                        t.l1.install_traced(candidate, true, &mut t.obs, ctx);
-                        t.stats.load_fetches += 1;
-                    }
+            // Precise loads under LVA/LVP, prefetch, and everything under
+            // Precise.
+            _ => None,
+        };
+        // Every remaining miss stalls for the conventional serial walk.
+        t.stats.load_latency_cycles += level.serial_latency();
+        t.fill(addr, false, ctx);
+        if let Mechanism::Prefetch(prefetcher) = &mut t.mechanism {
+            for candidate in prefetcher.on_miss(pc, addr) {
+                if !t.l1.probe(candidate) && !t.in_flight.contains(candidate.block_index()) {
+                    t.fill(candidate, true, ctx);
                 }
-                actual
-            }
-            // Precise loads under LVA/LVP, and everything under Precise.
-            _ => {
-                t.stats.load_latency_cycles += level.serial_latency();
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                actual
             }
         }
+        // A value predictor fetches too: its prediction is resolved
+        // (validated) when the data arrives.
+        if let Some(kind) = value_prediction {
+            let train = PendingTrain {
+                due: t.load_clock + value_delay,
+                addr,
+                ty,
+                install: false,
+                kind,
+            };
+            Self::schedule(&self.mem, t, train, ctx);
+        }
+        actual
     }
 
     /// Walks the modelled deeper hierarchy for a block that missed the L1
@@ -662,7 +624,6 @@ impl SimHarness {
         addr: Addr,
         ty: ValueType,
         actual: Value,
-        block: u64,
         ctx: TraceCtx,
     ) -> (Value, bool) {
         let approximator = match &mut t.mechanism {
@@ -681,8 +642,7 @@ impl SimHarness {
         // miss a degrade Deny does, without consulting the
         // approximator. Free when no PC is disabled.
         if !approximator.pc_enabled(pc) {
-            t.stats.load_fetches += 1;
-            t.l1.install_traced(addr, false, &mut t.obs, ctx);
+            t.fill(addr, false, ctx);
             return (actual, false);
         }
         // The quality-budget controller gets the first word: a
@@ -693,8 +653,7 @@ impl SimHarness {
             Some(d) => match d.decide_traced(pc, &mut t.stats, &mut t.obs, ctx) {
                 MissDecision::Allow(policy) => policy,
                 MissDecision::Deny => {
-                    t.stats.load_fetches += 1;
-                    t.l1.install_traced(addr, false, &mut t.obs, ctx);
+                    t.fill(addr, false, ctx);
                     return (actual, false);
                 }
             },
@@ -706,76 +665,41 @@ impl SimHarness {
             Some(f) => f.extra_delay(),
             None => 0,
         };
-        let delay = value_delay + extra;
-        match approximator.on_miss_policed(pc, ty, policy, &mut t.obs, ctx) {
-            MissOutcome::Approximate(a) => {
-                t.stats.approximations += 1;
-                match a.fetch {
-                    FetchAction::Fetch => {
-                        t.stats.fetches_delayed += u64::from(extra > 0);
-                        t.stats.load_fetches += 1;
-                        t.in_flight.insert(block);
-                        let train = PendingTrain {
-                            due: t.load_clock + delay,
-                            addr,
-                            ty,
-                            install: true,
-                            kind: TrainKind::Lva(a.token),
-                        };
-                        if delay == 0 {
-                            Self::fire(mem, t, train);
-                        } else {
-                            if t.obs.enabled() {
-                                t.obs.record(TraceEvent::at(
-                                    ctx,
-                                    TraceEventKind::TrainEnqueue {
-                                        pc: pc.0,
-                                        delay,
-                                    },
-                                ));
-                            }
-                            t.pending.push_back(train);
-                        }
+        let (value, approximated, install, token) =
+            match approximator.on_miss_policed(pc, ty, policy, &mut t.obs, ctx) {
+                MissOutcome::Approximate(a) => {
+                    t.stats.approximations += 1;
+                    if a.fetch == FetchAction::Skip {
+                        // The clobbered value — possibly wrong, and that
+                        // is the whole point.
+                        return (a.value, true);
                     }
-                    FetchAction::Skip => {}
+                    // The block is fetched in the background and
+                    // installs when its training arrives.
+                    t.stats.load_fetches += 1;
+                    t.in_flight.insert(addr.block_index());
+                    (a.value, true, true, a.token)
                 }
-                // The clobbered value — possibly wrong, and that is
-                // the whole point.
-                (a.value, true)
-            }
-            MissOutcome::Fallthrough(token) => {
-                // Processor stalls for the data, so the block fills
-                // immediately — but the value still reaches the
-                // history buffers `value_delay` loads later, exactly
-                // like an approximated fetch (§VI-C models the delay
-                // uniformly for all training values).
-                t.stats.fetches_delayed += u64::from(extra > 0);
-                t.stats.load_fetches += 1;
-                t.l1.install_traced(addr, false, &mut t.obs, ctx);
-                let train = PendingTrain {
-                    due: t.load_clock + delay,
-                    addr,
-                    ty,
-                    install: false,
-                    kind: TrainKind::Lva(token),
-                };
-                if delay == 0 {
-                    Self::fire(mem, t, train);
-                } else {
-                    if t.obs.enabled() {
-                        t.obs.record(TraceEvent::at(
-                            ctx,
-                            TraceEventKind::TrainEnqueue {
-                                pc: pc.0,
-                                delay,
-                            },
-                        ));
-                    }
-                    t.pending.push_back(train);
+                MissOutcome::Fallthrough(token) => {
+                    // Processor stalls for the data, so the block fills
+                    // immediately — but the value still reaches the
+                    // history buffers `value_delay` loads later, exactly
+                    // like an approximated fetch (§VI-C models the delay
+                    // uniformly for all training values).
+                    t.fill(addr, false, ctx);
+                    (actual, false, false, token)
                 }
-                (actual, false)
-            }
-        }
+            };
+        t.stats.fetches_delayed += u64::from(extra > 0);
+        let train = PendingTrain {
+            due: t.load_clock + value_delay + extra,
+            addr,
+            ty,
+            install,
+            kind: TrainKind::Lva(token),
+        };
+        Self::schedule(mem, t, train, ctx);
+        (value, approximated)
     }
 
     /// The `lva+clp` hybrid miss path: the level predictor screens every
@@ -792,7 +716,6 @@ impl SimHarness {
         ty: ValueType,
         approx: bool,
         actual: Value,
-        block: u64,
         level: CacheLevel,
         ctx: TraceCtx,
     ) -> Value {
@@ -811,15 +734,14 @@ impl SimHarness {
         t.stats.clp_mispredicts += u64::from(prediction.confident && !correct);
         if approx && slow {
             let (value, approximated) =
-                Self::lva_approx_miss(mem, value_delay, t, pc, addr, ty, actual, block, ctx);
+                Self::lva_approx_miss(mem, value_delay, t, pc, addr, ty, actual, ctx);
             t.stats.load_latency_cycles += if approximated { 1 } else { direct_latency };
             value
         } else {
             // Predicted fast (or not approximable): stay precise, ride the
             // predicted level's direct access.
             t.stats.load_latency_cycles += direct_latency;
-            t.stats.load_fetches += 1;
-            t.l1.install_traced(addr, false, &mut t.obs, ctx);
+            t.fill(addr, false, ctx);
             actual
         }
     }
@@ -888,6 +810,28 @@ impl SimHarness {
             let train = t.pending.pop_front().expect("front() was Some");
             Self::fire(mem, t, train);
         }
+    }
+
+    /// Queues a training until its deadline, or delivers it at once when
+    /// it is due now (no value delay). Only approximator trainings are
+    /// traced as enqueued.
+    fn schedule(mem: &SimMemory, t: &mut ThreadCtx, train: PendingTrain, ctx: TraceCtx) {
+        let delay = train.due - t.load_clock;
+        if delay == 0 {
+            return Self::fire(mem, t, train);
+        }
+        if let TrainKind::Lva(token) = &train.kind {
+            if t.obs.enabled() {
+                t.obs.record(TraceEvent::at(
+                    ctx,
+                    TraceEventKind::TrainEnqueue {
+                        pc: token.pc().0,
+                        delay,
+                    },
+                ));
+            }
+        }
+        t.pending.push_back(train);
     }
 
     /// Delivers a delayed training: the block "arrives", the mechanism
@@ -1002,47 +946,7 @@ impl SimHarness {
         }
     }
 
-    // ----- typed convenience wrappers -----
-
-    /// Precise `f32` load.
-    pub fn load_f32(&mut self, pc: Pc, addr: Addr) -> f32 {
-        self.load(pc, addr, ValueType::F32, false).as_f32()
-    }
-
-    /// Annotated (approximable) `f32` load.
-    pub fn load_approx_f32(&mut self, pc: Pc, addr: Addr) -> f32 {
-        self.load(pc, addr, ValueType::F32, true).as_f32()
-    }
-
-    /// Precise `f64` load.
-    pub fn load_f64(&mut self, pc: Pc, addr: Addr) -> f64 {
-        self.load(pc, addr, ValueType::F64, false).as_f64()
-    }
-
-    /// Annotated (approximable) `f64` load.
-    pub fn load_approx_f64(&mut self, pc: Pc, addr: Addr) -> f64 {
-        self.load(pc, addr, ValueType::F64, true).as_f64()
-    }
-
-    /// Precise `i32` load.
-    pub fn load_i32(&mut self, pc: Pc, addr: Addr) -> i32 {
-        self.load(pc, addr, ValueType::I32, false).as_i32()
-    }
-
-    /// Annotated (approximable) `i32` load.
-    pub fn load_approx_i32(&mut self, pc: Pc, addr: Addr) -> i32 {
-        self.load(pc, addr, ValueType::I32, true).as_i32()
-    }
-
-    /// Precise `u8` load.
-    pub fn load_u8(&mut self, pc: Pc, addr: Addr) -> u8 {
-        self.load(pc, addr, ValueType::U8, false).as_u8()
-    }
-
-    /// Annotated (approximable) `u8` load.
-    pub fn load_approx_u8(&mut self, pc: Pc, addr: Addr) -> u8 {
-        self.load(pc, addr, ValueType::U8, true).as_u8()
-    }
+    // ----- typed store wrappers -----
 
     /// `f32` store.
     pub fn store_f32(&mut self, pc: Pc, addr: Addr, v: f32) {
@@ -1057,11 +961,6 @@ impl SimHarness {
     /// `i32` store.
     pub fn store_i32(&mut self, pc: Pc, addr: Addr, v: i32) {
         self.store(pc, addr, Value::from_i32(v));
-    }
-
-    /// `u8` store.
-    pub fn store_u8(&mut self, pc: Pc, addr: Addr, v: u8) {
-        self.store(pc, addr, Value::from_u8(v));
     }
 }
 
@@ -1088,11 +987,11 @@ mod tests {
         let addrs = seq_addrs(base, 100, 64); // one block each
         fill(&mut h, &addrs, 1.0);
         for &a in &addrs {
-            let _ = h.load_f32(Pc(1), a);
+            h.load(Pc(1), a, ValueType::F32, false);
         }
         // Second pass: all hits.
         for &a in &addrs {
-            let _ = h.load_f32(Pc(1), a);
+            h.load(Pc(1), a, ValueType::F32, false);
         }
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 100);
@@ -1108,7 +1007,7 @@ mod tests {
         let addrs = seq_addrs(base, 200, 64);
         fill(&mut h, &addrs, 5.0);
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(42), a);
+            h.load(Pc(42), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 200);
@@ -1126,9 +1025,9 @@ mod tests {
         h.memory_mut().write_f32(base, 10.0);
         h.memory_mut().write_f32(base.offset(64), 10.0);
         h.memory_mut().write_f32(base.offset(128), 99.0);
-        let _ = h.load_approx_f32(Pc(1), base);
-        let _ = h.load_approx_f32(Pc(1), base.offset(64));
-        let clobbered = h.load_approx_f32(Pc(1), base.offset(128));
+        h.load(Pc(1), base, ValueType::F32, true);
+        h.load(Pc(1), base.offset(64), ValueType::F32, true);
+        let clobbered = h.load(Pc(1), base.offset(128), ValueType::F32, true).as_f32();
         assert_eq!(clobbered, 10.0, "value must be approximated, not actual");
     }
 
@@ -1140,7 +1039,7 @@ mod tests {
         let addrs = seq_addrs(base, 400, 64);
         fill(&mut h, &addrs, 2.0);
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(9), a);
+            h.load(Pc(9), a, ValueType::F32, true);
         }
         let run = h.finish();
         // Fetch ratio should approach 1:(4+1).
@@ -1159,7 +1058,7 @@ mod tests {
         let addrs = seq_addrs(base, 200, 64);
         fill(&mut h, &addrs, 7.0); // identical values: perfectly predictable
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(4), a);
+            h.load(Pc(4), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert!(run.stats.total.lvp_correct > 150);
@@ -1179,7 +1078,7 @@ mod tests {
                 .write_f32(base.offset(i * 64), 1.0 + i as f32 * 1e-5);
         }
         for i in 0..100u64 {
-            let _ = h.load_approx_f32(Pc(5), base.offset(i * 64));
+            h.load(Pc(5), base.offset(i * 64), ValueType::F32, true);
         }
         let run = h.finish();
         assert_eq!(run.stats.total.lvp_correct, 0);
@@ -1193,7 +1092,7 @@ mod tests {
         let addrs = seq_addrs(base, 300, 64);
         fill(&mut h, &addrs, 7.0); // identical values: predictable, eventually
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(4), a);
+            h.load(Pc(4), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert!(run.stats.total.lvp_correct > 200, "correct {}", run.stats.total.lvp_correct);
@@ -1214,7 +1113,7 @@ mod tests {
             h.memory_mut().write_f32(base.offset(i * 64), v);
         }
         for i in 0..300u64 {
-            let _ = h.load_approx_f32(Pc(4), base.offset(i * 64));
+            h.load(Pc(4), base.offset(i * 64), ValueType::F32, true);
         }
         let run = h.finish();
         assert!(run.stats.total.rollbacks > 0, "drift after warmup must roll back");
@@ -1229,7 +1128,7 @@ mod tests {
             let addrs = seq_addrs(base, 512, 64); // perfectly sequential
             fill(&mut h, &addrs, 1.0);
             for &a in &addrs {
-                let _ = h.load_f32(Pc(8), a);
+                h.load(Pc(8), a, ValueType::F32, false);
                 h.tick(10);
             }
             h.finish()
@@ -1252,7 +1151,7 @@ mod tests {
         // First miss trains only after 8 more loads; the second..eighth
         // misses therefore see an empty LHB and fall through.
         for &a in &addrs {
-            let _ = h.load_approx_f32(Pc(2), a);
+            h.load(Pc(2), a, ValueType::F32, true);
         }
         let run = h.finish();
         assert!(
@@ -1269,9 +1168,9 @@ mod tests {
         h.memory_mut().write_f32(base, 1.0);
         // Thread 0 touches the block; thread 1 must still miss on it.
         h.set_thread(0);
-        let _ = h.load_f32(Pc(1), base);
+        h.load(Pc(1), base, ValueType::F32, false);
         h.set_thread(1);
-        let _ = h.load_f32(Pc(1), base);
+        h.load(Pc(1), base, ValueType::F32, false);
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 2);
         assert_eq!(run.stats.per_thread[0].raw_misses, 1);
@@ -1284,7 +1183,7 @@ mod tests {
         let base = h.alloc(64, 64);
         h.memory_mut().write_f32(base, 1.0);
         h.tick(5);
-        let _ = h.load_approx_f32(Pc(1), base);
+        h.load(Pc(1), base, ValueType::F32, true);
         h.store_f32(Pc(2), base, 2.0);
         let run = h.finish();
         let stats = run.traces[0].stats();
@@ -1319,9 +1218,9 @@ mod tests {
         // Warm the approximator on a different block so the first access to
         // `base`'s block gets approximated (and fetched in background).
         h.memory_mut().write_f32(base.offset(64), 1.0);
-        let _ = h.load_approx_f32(Pc(3), base.offset(64));
-        let _ = h.load_approx_f32(Pc(3), base); // miss -> approximate + fetch
-        let _ = h.load_approx_f32(Pc(3), base.offset(4)); // in-flight: MSHR hit
+        h.load(Pc(3), base.offset(64), ValueType::F32, true);
+        h.load(Pc(3), base, ValueType::F32, true); // miss -> approximate + fetch
+        h.load(Pc(3), base.offset(4), ValueType::F32, true); // in-flight: MSHR hit
         let run = h.finish();
         assert_eq!(run.stats.total.raw_misses, 2, "secondary access merged");
     }
@@ -1337,7 +1236,7 @@ mod tests {
                 .write_f32(base.offset(i * 64), 100.0 + (i % 7) as f32);
         }
         for i in 0..n {
-            let _ = h.load_approx_f32(Pc(0x42), base.offset(i * 64));
+            h.load(Pc(0x42), base.offset(i * 64), ValueType::F32, true);
         }
         h.finish()
     }
@@ -1352,7 +1251,7 @@ mod tests {
             let addrs = seq_addrs(base, 300, 64);
             fill(&mut h, &addrs, 5.0);
             for &a in &addrs {
-                let _ = h.load_approx_f32(Pc(7), a);
+                h.load(Pc(7), a, ValueType::F32, true);
             }
             h.finish()
         };
@@ -1377,7 +1276,7 @@ mod tests {
             let addrs = seq_addrs(base, 300, 64);
             fill(&mut h, &addrs, 5.0);
             for &a in &addrs {
-                let _ = h.load_approx_f32(Pc(7), a);
+                h.load(Pc(7), a, ValueType::F32, true);
             }
             h.finish()
         };
@@ -1497,7 +1396,7 @@ mod tests {
             let addrs = seq_addrs(base, 300, 64);
             fill(&mut h, &addrs, 5.0);
             for &a in &addrs {
-                let _ = h.load_approx_f32(Pc(7), a);
+                h.load(Pc(7), a, ValueType::F32, true);
             }
             h.finish()
         };
@@ -1536,7 +1435,7 @@ mod tests {
             fill(&mut h, &addrs, 5.0);
             for (i, &a) in addrs.iter().enumerate() {
                 h.set_thread(i % 4);
-                let _ = h.load_approx_f32(Pc(42), a);
+                h.load(Pc(42), a, ValueType::F32, true);
             }
             h.finish()
         };

@@ -143,7 +143,7 @@ impl Kernel for Swaptions {
                     // Evolve the short rate from the forward curve under a
                     // lognormal HJM-ish single-factor model.
                     let idx = ((mat as usize).min(CURVE_POINTS - 1)) as u64;
-                    let f0 = h.load_approx_f64(PC_CURVE, curve.offset(8 * idx));
+                    let f0 = h.load(PC_CURVE, curve.offset(8 * idx), ValueType::F64, true).as_f64();
                     let mut rate = f0.clamp(1e-4, 0.5);
                     let mut discount = 1.0f64;
                     for _ in 0..steps {

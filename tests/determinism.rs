@@ -3,7 +3,7 @@
 //! reproducible from their seed. These tests are what lets every figure
 //! bench fan out across threads without perturbing the paper's numbers.
 
-use lva::core::{ApproximatorConfig, ClpConfig, ConfidenceWindow, LvpConfig, Pc};
+use lva::core::{ApproximatorConfig, ClpConfig, ConfidenceWindow, LvpConfig, Pc, ValueType};
 use lva::sim::sweep::{run_sweep, SweepOptions};
 use lva::sim::{FaultConfig, MechanismKind, Phase1Stats, SimConfig, SimHarness, SweepSpec};
 use lva::workloads::{registry, registry_seeded, WorkloadScale};
@@ -281,8 +281,8 @@ fn mshr_stress_fingerprint(cfg: &SimConfig) -> String {
         h.memory_mut().write_f32(base.offset(i * 64), (i % 5) as f32);
     }
     for i in 0..2048u64 {
-        let _ = h.load_approx_f32(Pc(7), base.offset(i * 64));
-        let _ = h.load_approx_f32(Pc(9), base.offset(i * 64 + 4));
+        h.load(Pc(7), base.offset(i * 64), ValueType::F32, true);
+        h.load(Pc(9), base.offset(i * 64 + 4), ValueType::F32, true);
     }
     let run = h.finish();
     assert!(run.stats.total.l1_hits > 0, "stress kernel must merge/hit");
